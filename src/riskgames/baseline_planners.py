@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import EnumerationGuardError, UnreachableTerminalError
 from .game_model import (
-    MACHINE_ACTIONS,
+    _DIR_RANK,
     SILENT,
     STOP,
     Edge,
@@ -22,8 +22,6 @@ from .game_model import (
     path_criterion,
     theta_of,
 )
-
-_DIR_RANK = {d: i for i, d in enumerate(MACHINE_ACTIONS)}
 
 PATH_ENUMERATION_NODE_LIMIT = 20
 

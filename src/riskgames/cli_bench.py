@@ -51,7 +51,7 @@ from .coordinator_solver import (
     tree_playout,
     verify_equilibrium,
 )
-from .errors import RiskGamesError, ScenarioError
+from .errors import AggregatorFlagError, RiskGamesError, ScenarioError
 from .game_model import (
     EXPECTATION,
     Aggregator,
@@ -117,6 +117,19 @@ def _parse_aggregator(raw, problems: list[str]) -> Aggregator:
     return EXPECTATION
 
 
+def _parse_aggregator_flag(text: str) -> Aggregator:
+    """The aggregator named by ``--aggregator``: 'expectation' or 'cvar:<alpha>'."""
+    if text == "expectation":
+        return EXPECTATION
+    kind, _, alpha = text.partition(":")
+    if kind == "cvar":
+        try:
+            return Aggregator.cvar(float(alpha))
+        except ValueError:
+            pass
+    raise AggregatorFlagError(f"--aggregator {text!r}: expected 'expectation' or 'cvar:<alpha>'")
+
+
 def scenario_from_dict(data: dict) -> ScenarioFile:
     """Build a scenario from parsed JSON, reporting every problem at once."""
     problems: list[str] = []
@@ -136,9 +149,15 @@ def scenario_from_dict(data: dict) -> ScenarioFile:
         problems.append(f"{where} must be a finite number, got {x!r}")
         return 0.0
 
-    nodes = tuple(str(n) for n in data["nodes"])
+    def shaped(x, kind, where):
+        if isinstance(x, kind):
+            return x
+        problems.append(f"{where} must be a JSON {'object' if kind is dict else 'array'}, got {x!r}")
+        return kind()
+
+    nodes = tuple(str(n) for n in shaped(data["nodes"], list, "nodes"))
     edges = []
-    for idx, e in enumerate(data["edges"]):
+    for idx, e in enumerate(shaped(data["edges"], list, "edges")):
         where = f"edges[{idx}]"
         if not isinstance(e, dict) or set(e) != {"from", "to", "dir", "mean", "var"}:
             problems.append(f"{where} must have exactly from/to/dir/mean/var")
@@ -150,7 +169,7 @@ def scenario_from_dict(data: dict) -> ScenarioFile:
             var = 0.0
         edges.append(Edge(str(e["from"]), str(e["to"]), str(e["dir"]), CostDistribution(mean, var)))
     terminals = {}
-    for node, stats in data["terminals"].items():
+    for node, stats in shaped(data["terminals"], dict, "terminals").items():
         where = f"terminals[{node!r}]"
         if not isinstance(stats, dict) or set(stats) != {"mean", "var"}:
             problems.append(f"{where} must have exactly mean/var")
@@ -179,7 +198,7 @@ def scenario_from_dict(data: dict) -> ScenarioFile:
         if not isinstance(axis, int) or isinstance(axis, bool) or axis < 1:
             problems.append(f"sweep.axis must be a 1-based type index, got {axis!r}")
             axis = 1
-        grid = tuple(number(g, "sweep.grid entry") for g in sweep["grid"])
+        grid = tuple(number(g, "sweep.grid entry") for g in shaped(sweep["grid"], list, "sweep.grid"))
         if any(g < 0 or g > 1 for g in grid):
             problems.append("sweep.grid values must lie in [0, 1]")
 
@@ -194,8 +213,8 @@ def scenario_from_dict(data: dict) -> ScenarioFile:
         terminals=terminals,
         start_node=str(data["start"]),
         horizon_T=horizon,
-        types=tuple(number(t, "types entry") for t in data["types"]),
-        prior=tuple(number(w, "prior entry") for w in data["prior"]),
+        types=tuple(number(t, "types entry") for t in shaped(data["types"], list, "types")),
+        prior=tuple(number(w, "prior entry") for w in shaped(data["prior"], list, "prior")),
         transmission_cost=number(data["q_h"], "q_h"),
         machine_aggregator=_parse_aggregator(data["aggregator"], problems),
     )
@@ -443,14 +462,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.seed is not None:
             sc.seed = args.seed
         if args.aggregator is not None:
-            if args.aggregator == "expectation":
-                agg = EXPECTATION
-            elif args.aggregator.startswith("cvar:"):
-                agg = Aggregator.cvar(float(args.aggregator.split(":", 1)[1]))
-            else:
-                print(f"error: bad-aggregator-flag: {args.aggregator}", file=sys.stderr)
-                return 1
-            sc.spec.machine_aggregator = agg
+            sc.spec.machine_aggregator = _parse_aggregator_flag(args.aggregator)
         return _COMMANDS[args.command](sc, args)
     except RiskGamesError as exc:
         slug = type(exc).__name__

@@ -9,18 +9,30 @@ backward induction over belief-augmented states is exact; the solver
 asserts nothing weaker than rational-number equality with the brute-force
 policy enumeration.
 
+The solver (:func:`solve_dp`) inducts over period layers, t = T down to 1,
+with no recursion. Its prescription search at a state is a DP over subsets
+of the belief support rather than a scan of every prescription: a signal
+group's stage-plus-continuation cost depends only on its signal and member
+set. The search runs on integers, every weighted stage cost and fee
+scaled by one common denominator, and the tie-break below rides in the
+low digits of those integers. The brute-force oracle keeps the plain
+enumeration of prescriptions, and the equilibrium verifier's best
+responses run on an explicit stack.
+
 Conventions fixed here for reproducibility:
 
 * ties between prescriptions break lexicographically, machine action
   first (N, S, E, W, STOP), then the human action per ascending type
   index (SILENT, N, S, E, W, STOP);
 * STOP is absorbing and periods after it cost nothing;
-* all arithmetic is on exact rationals.
+* all arithmetic is exact: rationals, or integers over one common
+  denominator that become rationals in the returned tables.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -190,58 +202,190 @@ class _Engine:
         return [(signal, tuple(members)) for signal, members in groups.items()]
 
 
-class _Solver(_Engine):
-    _UNSET = object()
+class _IntegerSolver(_Engine):
+    """Backward induction over period layers, prescription search by subset DP.
+
+    Every weighted stage cost and weighted fee is an integer multiple of
+    ``1 / scale``, so values are kept as those integers and become
+    Fractions only when the policy tables are built. States are keyed by
+    (node, support mask), bit k of the mask standing for the k-th type of
+    the prior's support.
+    """
 
     def __init__(self, spec: GameSpec):
         super().__init__(spec)
-        # state -> (value, prescription, children) or None when infeasible
-        self.memo: dict[BeliefState, tuple | None] = {}
+        fee = [self.weights[i] * self.q for i in self.support0]
+        stage = {
+            (node, e): [self.weights[i] * self.type_stage(i, node, e, False) for i in self.support0]
+            for node in spec.nodes
+            for e in self.machine_actions(node)
+        }
+        self.scale = math.lcm(*(f.denominator for row in (fee, *stage.values()) for f in row))
+        self.fee = self._scaled(fee)
+        self.stage = {key: self._scaled(row) for key, row in stage.items()}
+        self._subset_cache: dict[int, tuple] = {}
+        self._split_cache: dict[int, list[list[tuple[int, int]]]] = {}
 
-    def solve_state(self, state: BeliefState) -> Fraction | None:
-        entry = self.memo.get(state, self._UNSET)
-        if entry is not self._UNSET:
-            return entry[0] if entry is not None else None
-        node, support, t = state.node, state.support, state.period
-        if t > self.T or not self.feasible(node, t):
-            self.memo[state] = None
-            return None
-        best = None
-        human_acts = self.human_actions(node)
-        for a_m in self.machine_actions(node):
-            for combo in itertools.product(human_acts, repeat=len(support)):
-                outcome = self._prescription_value(node, t, support, a_m, combo)
-                if outcome is None:
-                    continue
-                val, children = outcome
-                if best is None or val < best[0]:
-                    best = (val, Prescription(a_m, tuple(zip(support, combo))), children)
-        self.memo[state] = best
-        return best[0] if best is not None else None
+    def _scaled(self, row: list[Fraction]) -> list[int]:
+        return [f.numerator * (self.scale // f.denominator) for f in row]
 
-    def _prescription_value(self, node, t, support, a_m, combo):
-        groups: dict[str, list[int]] = {}
-        for i, a in zip(support, combo):
-            groups.setdefault(a, []).append(i)
-        total = Fraction(0)
-        children: list[tuple[str, BeliefState | None]] = []
-        for signal, members in groups.items():
-            override = signal != SILENT
-            effective = signal if override else a_m
-            if effective == STOP:
-                for i in members:
-                    total += self.weights[i] * self.type_stage(i, node, STOP, override)
-                children.append((signal, None))
+    def policy(self) -> CoordinatorPolicy:
+        layers = self._layers()
+        decision: dict[BeliefState, Prescription] = {}
+        values: dict[BeliefState, Fraction] = {}
+        transitions: dict[tuple[BeliefState, str], BeliefState | None] = {}
+        later: dict[tuple[str, int], int] = {}
+        for t in range(len(layers) - 1, 0, -1):
+            current: dict[tuple[str, int], int] = {}
+            for (node, mask), state in layers[t].items():
+                value, a_m, human = self._best(node, mask, t, later)
+                current[(node, mask)] = value
+                decision[state] = Prescription(a_m, tuple(zip(state.support, human)))
+                values[state] = Fraction(value, self.scale)
+                members = self._subsets(mask)[1]
+                groups: dict[str, int] = {}
+                for j, signal in enumerate(human):
+                    groups[signal] = groups.get(signal, 0) | members[1 << j]
+                for signal, group in groups.items():
+                    effective = a_m if signal == SILENT else signal
+                    transitions[(state, signal)] = (
+                        None
+                        if effective == STOP
+                        else layers[t + 1][(self.edge_dst[(node, effective)], group)]
+                    )
+            later = current
+        return CoordinatorPolicy(
+            root=next(iter(layers[1].values())),
+            decision=decision,
+            value=values,
+            transitions=transitions,
+            weights=dict(self.weights),
+        )
+
+    def _layers(self) -> list[dict[tuple[str, int], BeliefState]]:
+        """The states of each period, index 1 to T (index 0 is empty).
+
+        The successors of a state are every nonempty subset of its support
+        after every move whose destination can still finish in time: each
+        of them is a group's child under some feasible prescription, which
+        is the set an exhaustive search visits.
+        """
+        root = BeliefState(self.spec.start_node, self.support0, 1)
+        layers = [{}, {(root.node, (1 << len(root.support)) - 1): root}]
+        for t in range(1, self.T):
+            nxt: dict[tuple[str, int], BeliefState] = {}
+            for node, mask in layers[t]:
+                for e in self.machine_actions(node):
+                    dst = self.edge_dst.get((node, e))  # None for STOP
+                    if dst is None or not self.feasible(dst, t + 1):
+                        continue
+                    for sub in self._subsets(mask)[1][1:]:
+                        if (dst, sub) not in nxt:
+                            nxt[(dst, sub)] = BeliefState(dst, self._subsets(sub)[0], t + 1)
+            layers.append(nxt)
+        return layers
+
+    def _subsets(self, mask: int) -> tuple:
+        """(support, members, lowest, fee) of a support mask.
+
+        The lists are indexed by local subset s, whose bit j stands for the
+        j-th member of the support: ``members[s]`` is the mask of s,
+        ``lowest[s]`` is (s without its lowest member, that member's type
+        position) and ``fee[s]`` is the scaled fee of s.
+        """
+        tables = self._subset_cache.get(mask)
+        if tables is None:
+            positions = [k for k in range(len(self.support0)) if mask >> k & 1]
+            n = 1 << len(positions)
+            members, lowest, fee = [0] * n, [(0, 0)] * n, [0] * n
+            for sub in range(1, n):
+                bit = sub & -sub
+                rest, k = sub ^ bit, positions[bit.bit_length() - 1]
+                members[sub] = members[rest] | 1 << k
+                lowest[sub] = (rest, k)
+                fee[sub] = fee[rest] + self.fee[k]
+            support = tuple(self.support0[k] for k in positions)
+            tables = (support, members, lowest, fee)
+            self._subset_cache[mask] = tables
+        return tables
+
+    def _splits(self, size: int) -> list[list[tuple[int, int]]]:
+        """Per local subset R, every (G, R without G) for G a subset of R."""
+        splits = self._split_cache.get(size)
+        if splits is None:
+            splits = []
+            for whole in range(1 << size):
+                pairs, sub = [(0, whole)], whole
+                while sub:
+                    pairs.append((sub, whole ^ sub))
+                    sub = (sub - 1) & whole
+                splits.append(pairs)
+            self._split_cache[size] = splits
+        return splits
+
+    def _best(self, node: str, mask: int, t: int, later: dict[tuple[str, int], int]):
+        """(scaled value, machine action, signal per member) of the state's optimum.
+
+        A signal group's cost depends only on its signal and member set.
+        With B signals at the node and K members, a prescription's
+        objective is its scaled value times B**K plus the base-B number
+        whose digits are the members' signal ranks, so the least objective
+        is the least value and, among equal values, the first signal
+        assignment in the documented order. Machine actions are compared
+        on the value alone, in order, so the first of equal ones wins.
+        """
+        acts = self.machine_actions(node)
+        signals = (SILENT,) + acts
+        _, members, lowest, fee = self._subsets(mask)
+        size, base = mask.bit_count(), len(signals)
+        shift = base**size
+        everyone = len(members) - 1
+        # stage plus continuation of each effective move, per member set
+        cost: dict[str, list[int]] = {}
+        for e in acts:
+            dst = self.edge_dst.get((node, e))  # None for STOP
+            if dst is not None and not self.feasible(dst, t + 1):
+                continue
+            stage, row = self.stage[(node, e)], [0] * len(members)
+            for sub in range(1, len(members)):
+                rest, k = lowest[sub]
+                row[sub] = row[rest] + stage[k]
+            if dst is not None:
+                for sub in range(1, len(members)):
+                    row[sub] += later[(dst, members[sub])]
+            cost[e] = row
+        # least objective of each member set split among the override signals;
+        # digits[s] is the sum of base**(size - 1 - j) over the members j of s
+        digits = [0] * len(members)
+        for sub in range(1, len(members)):
+            bit = sub & -sub
+            digits[sub] = digits[sub ^ bit] + base ** (size - bit.bit_length())
+        splits = self._splits(size)
+        overrides = None
+        for rank, e in enumerate(acts, 1):
+            if e not in cost:
+                continue
+            group = [(c + f) * shift + rank * d for c, f, d in zip(cost[e], fee, digits)]
+            if overrides is None:
+                overrides = group
             else:
-                for i in members:
-                    total += self.weights[i] * self.type_stage(i, node, effective, override)
-                child = BeliefState(self.edge_dst[(node, effective)], tuple(members), t + 1)
-                sub = self.solve_state(child)
-                if sub is None:
-                    return None
-                total += sub
-                children.append((signal, child))
-        return total, tuple(children)
+                overrides = [min([overrides[rest] + group[sub] for sub, rest in pairs]) for pairs in splits]
+        # the silent group's members follow the machine action
+        best = None
+        for a_m in acts:
+            if a_m in cost:
+                row = cost[a_m]
+                objective = min([row[sub] * shift + overrides[rest] for sub, rest in splits[everyone]])
+            else:
+                objective = overrides[everyone]
+            if best is None or objective // shift < best[0] // shift:
+                best = (objective, a_m)
+        value, code = divmod(best[0], shift)
+        ranks = []
+        for _ in range(size):
+            code, rank = divmod(code, base)
+            ranks.append(rank)
+        return value, best[1], [signals[r] for r in reversed(ranks)]
 
 
 def solve_dp(spec: GameSpec) -> CoordinatorPolicy:
@@ -253,6 +397,16 @@ def solve_dp(spec: GameSpec) -> CoordinatorPolicy:
     Requires the expectation aggregator: only a linear aggregator lets the
     objective decompose across belief splits; route CVaR instances through
     :func:`brute_force_oracle` instead.
+
+    The induction walks period layers from T down to 1, without recursion.
+    At each state a DP over subsets of the support finds, once for all
+    machine actions, the best split of every member set among the override
+    signals, then matches the silent group against it per machine action:
+    about |A_h|·3^K + |A_m|·2^K steps for K supported types, where
+    trying every prescription takes |A_m|·|A_h|^K. The search runs on
+    integers scaled by one common denominator, and the tie-break
+    convention of the module docstring is unchanged: it is folded into the
+    low digits of the same integers.
     """
     problems = validate_spec(spec)
     if problems:
@@ -262,32 +416,7 @@ def solve_dp(spec: GameSpec) -> CoordinatorPolicy:
             "exact backward induction requires the expectation aggregator; "
             "use brute_force_oracle for CVaR instances"
         )
-    solver = _Solver(spec)
-    root = BeliefState(spec.start_node, solver.support0, 1)
-    value = solver.solve_state(root)
-    if value is None:
-        raise HorizonError(
-            f"no terminal reachable and stoppable from {spec.start_node!r} "
-            f"within horizon {spec.horizon_T}"
-        )
-    decision: dict[BeliefState, Prescription] = {}
-    values: dict[BeliefState, Fraction] = {}
-    transitions: dict[tuple[BeliefState, str], BeliefState | None] = {}
-    for state, entry in solver.memo.items():
-        if entry is None:
-            continue
-        val, presc, children = entry
-        decision[state] = presc
-        values[state] = val
-        for signal, child in children:
-            transitions[(state, signal)] = child
-    return CoordinatorPolicy(
-        root=root,
-        decision=decision,
-        value=values,
-        transitions=transitions,
-        weights=dict(solver.weights),
-    )
+    return _IntegerSolver(spec).policy()
 
 
 class _Oracle(_Engine):
@@ -565,6 +694,31 @@ class _Budget:
             )
 
 
+def _run_without_recursion(step, root, memo: dict):
+    """Evaluate a memoized recursion written as a generator, on an explicit stack.
+
+    ``step(state)`` yields each child state whose result it needs, is sent
+    that result back (from ``memo`` when the child was already entered),
+    and returns its own result. Children run depth first in the order
+    they are asked for, as the plain recursion would run them.
+    """
+    stack = [step(root)]
+    result = None
+    while stack:
+        try:
+            child = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+            continue
+        if child in memo:
+            result = memo[child]
+        else:
+            stack.append(step(child))
+            result = None
+    return result
+
+
 def _machine_best_response(engine: _Engine, policy: CoordinatorPolicy, budget: _Budget):
     """Best machine value against the policy's fixed human decision rules.
 
@@ -576,8 +730,6 @@ def _machine_best_response(engine: _Engine, policy: CoordinatorPolicy, budget: _
     memo: dict[BeliefState, tuple[Fraction, str] | None] = {}
 
     def best(state: BeliefState):
-        if state in memo:
-            return memo[state]
         memo[state] = None  # states outside the solved envelope read as dead ends
         presc = policy.decision.get(state)
         if presc is None or state.period > engine.T:
@@ -597,7 +749,7 @@ def _machine_best_response(engine: _Engine, policy: CoordinatorPolicy, budget: _
                     child = BeliefState(
                         engine.edge_dst[(state.node, effective)], members, state.period + 1
                     )
-                    sub = best(child)
+                    sub = yield child
                     if sub is None:
                         workable = False
                         break
@@ -607,7 +759,7 @@ def _machine_best_response(engine: _Engine, policy: CoordinatorPolicy, budget: _
         memo[state] = best_entry
         return best_entry
 
-    root_entry = best(policy.root)
+    root_entry = _run_without_recursion(best, policy.root, memo)
     if root_entry is None:
         return None, ""
     # describe the deviation by walking the argmin actions forward
@@ -651,8 +803,6 @@ def _human_best_response(
     memo: dict[BeliefState, tuple[Fraction, str] | None] = {}
 
     def best(state: BeliefState):
-        if state in memo:
-            return memo[state]
         memo[state] = None
         presc = policy.decision.get(state)
         if presc is None or state.period > engine.T:
@@ -671,7 +821,7 @@ def _human_best_response(
                 child = policy.transitions.get((state, a))
                 if child is None:
                     continue
-                sub = best(child)
+                sub = yield child
                 if sub is None:
                     continue
                 cand = stage + sub[0]
@@ -680,7 +830,7 @@ def _human_best_response(
         memo[state] = best_entry
         return best_entry
 
-    root_entry = best(policy.root)
+    root_entry = _run_without_recursion(best, policy.root, memo)
     if root_entry is None:
         return None, ""
     # walk the argmin signals for the counterexample description

@@ -29,6 +29,10 @@ class UnsupportedAggregatorError(RiskGamesError, ValueError):
     """The requested machine aggregator is outside what the exact solver supports."""
 
 
+class AggregatorFlagError(RiskGamesError, ValueError):
+    """An aggregator override is neither 'expectation' nor 'cvar:<alpha>' with a numeric alpha."""
+
+
 class EnumerationGuardError(RiskGamesError, RuntimeError):
     """An exhaustive enumeration would exceed its size guard."""
 

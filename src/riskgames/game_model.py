@@ -74,9 +74,6 @@ class CostDistribution:
         if self.variance < 0:
             raise ValueError(f"variance must be non-negative, got {self.variance}")
 
-    def __add__(self, other: "CostDistribution") -> "CostDistribution":
-        return CostDistribution(self.mean + other.mean, self.variance + other.variance)
-
     def shifted(self, amount: Number) -> "CostDistribution":
         """Add a deterministic amount: the mean moves, the variance does not."""
         return CostDistribution(self.mean + amount, self.variance)
@@ -88,9 +85,6 @@ class CostDistribution:
     @property
     def exact_variance(self) -> Fraction:
         return as_fraction(self.variance)
-
-
-ZERO_COST = CostDistribution(0.0, 0.0)
 
 
 @dataclass(frozen=True)

@@ -217,5 +217,65 @@ def test_cli_cvar_sweep_rejected(tmp_path, capsys):
 
 def test_cli_bad_aggregator_flag(capsys):
     rc = main(["--scenario", "graph_a", "--aggregator", "var:0.9", "solve"])
+    err = capsys.readouterr().err
     assert rc == 1
-    assert "bad-aggregator-flag" in capsys.readouterr().err
+    assert err.startswith("error: AggregatorFlagError: --aggregator 'var:0.9'")
+    assert err.count("\n") == 1
+
+
+def test_cli_cvar_flag_with_non_numeric_level(capsys):
+    rc = main(["--scenario", "graph_a", "--aggregator", "cvar:abc", "solve"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: AggregatorFlagError: --aggregator 'cvar:abc'")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "key,value,problem",
+    [
+        ("nodes", 5, "nodes must be a JSON array, got 5"),
+        ("edges", None, "edges must be a JSON array, got None"),
+        ("terminals", [], "terminals must be a JSON object, got []"),
+    ],
+)
+def test_cli_malformed_scenario_is_one_line_error(key, value, problem, tmp_path, capsys):
+    data = scenario_to_dict(load_scenario("graph_a"))
+    data[key] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    rc = main(["--scenario", str(path), "solve"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ScenarioError: ")
+    assert problem in err
+    assert err.count("\n") == 1
+
+
+def test_cli_long_horizon_cycle_solves_and_verifies(tmp_path, capsys):
+    # periods nest one level per step, so a horizon far beyond the
+    # interpreter's recursion limit must not reach it
+    data = {
+        "nodes": ["1", "2", "3"],
+        "edges": [
+            {"from": src, "to": dst, "dir": d, "mean": 1, "var": 2}
+            for src, dst, d in (("1", "2", "E"), ("2", "3", "E"), ("3", "1", "S"))
+        ],
+        "terminals": {"3": {"mean": 0, "var": 0}},
+        "start": "1",
+        "horizon": 3000,
+        "types": [0.01, 0.5],
+        "prior": [0.5, 0.5],
+        "q_h": 0.5,
+        "aggregator": "expectation",
+        "sweep": {"axis": 1, "grid": [0.0, 1.0]},
+        "seed": 0,
+    }
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(data))
+    assert main(["--scenario", str(path), "solve"]) == 0
+    assert "root value: 3.02" in capsys.readouterr().out
+    assert main(["--scenario", str(path), "verify"]) == 0
+    captured = capsys.readouterr()
+    assert "machine_ic: PASS" in captured.out and "human_ic: PASS" in captured.out
+    assert captured.err == ""

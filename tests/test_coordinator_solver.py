@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_diamond
+from instance_gen import oracle_sized_game, random_game
 from riskgames import Aggregator
 from riskgames.baseline_planners import average_theta, best_case_value, risk_adjusted_shortest_path
 from riskgames.coordinator_solver import (
     BeliefState,
     CoordinatorPolicy,
     Prescription,
+    _Oracle,
     brute_force_oracle,
     count_deterministic_policies,
     simulate_type,
@@ -94,6 +96,51 @@ def test_dp_equals_oracle_on_graph_b_like_small_instance(graph_b):
     policy = solve_dp(spec)
     result = brute_force_oracle(spec)
     assert policy.value[policy.root] == result.value
+
+
+def reference_induction(spec):
+    """Backward induction keeping the first minimum in _Oracle's canonical order."""
+    oracle = _Oracle(spec)
+    decision, value, transitions = {}, {}, {}
+
+    def solve(state):
+        if state not in value:
+            best = None
+            for presc, children in oracle.prescriptions(state):
+                total = sum(solve(child) for _, child in children if child is not None)
+                for signal, members in oracle.groups_of(state.support, presc.human_map):
+                    effective = presc.machine if signal == SILENT else signal
+                    for i in members:
+                        stage = oracle.type_stage(i, state.node, effective, signal != SILENT)
+                        total += oracle.weights[i] * stage
+                if best is None or total < best[0]:
+                    best = (total, presc, children)
+            value[state], decision[state], children = best
+            transitions.update(((state, signal), child) for signal, child in children)
+        return value[state]
+
+    solve(BeliefState(spec.start_node, oracle.support0, 1))
+    return decision, value, transitions
+
+
+GAME_FAMILIES = {
+    "oracle_sized": (oracle_sized_game, 50),
+    "random": (random_game, 20),
+    # supports of three to five types; a free signal (q_h 0) leaves exact ties
+    "random_k5": (
+        lambda seed: random_game(seed, k_types=5, max_nodes=7, max_extra_edges=6, max_slack=3),
+        20,
+    ),
+}
+
+
+@pytest.mark.parametrize("family", GAME_FAMILIES)
+def test_dp_equals_reference_induction_with_tie_break(family):
+    make, seeds = GAME_FAMILIES[family]
+    for seed in range(seeds):
+        spec = make(seed)
+        policy = solve_dp(spec)
+        assert (policy.decision, policy.value, policy.transitions) == reference_induction(spec), seed
 
 
 def test_oracle_k1_equals_shortest_path(diamond):

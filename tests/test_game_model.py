@@ -26,11 +26,6 @@ def test_as_fraction_reads_floats_decimally():
         as_fraction(float("inf"))
 
 
-def test_cost_distribution_addition_adds_moments():
-    total = CostDistribution(2, 9) + CostDistribution(3, 1)
-    assert total == CostDistribution(5, 10)
-
-
 def test_cost_distribution_rejects_negative_variance():
     with pytest.raises(ValueError):
         CostDistribution(1, -0.5)
