@@ -51,7 +51,13 @@ from .coordinator_solver import (
     tree_playout,
     verify_equilibrium,
 )
-from .errors import AggregatorFlagError, RiskGamesError, ScenarioError
+from .errors import (
+    AggregatorFlagError,
+    EquilibriumVerificationError,
+    RiskGamesError,
+    ScenarioError,
+    SweepFlagError,
+)
 from .game_model import (
     EXPECTATION,
     Aggregator,
@@ -356,25 +362,24 @@ def _cmd_verify(sc: ScenarioFile, args) -> int:
     spec = sc.spec
     policy = solve_dp(spec)
     report = verify_equilibrium(spec, policy, deviation_budget=args.budget)
-    for check in (report.machine_ic, report.human_ic, report.belief_consistency):
+    checks = (report.machine_ic, report.human_ic, report.belief_consistency)
+    for check in checks:
         print(f"{check.name}: {'PASS' if check.passed else 'FAIL'}")
         if not check.passed:
             print(f"  {check.detail}")
     if not report.all_passed:
-        print("error: equilibrium-verification-failed", file=sys.stderr)
-        return 1
+        failed = ", ".join(check.name for check in checks if not check.passed)
+        raise EquilibriumVerificationError(f"the solved policy fails {failed}")
     return 0
 
 
 def _cmd_sweep(sc: ScenarioFile, args) -> int:
     axis = args.axis if args.axis is not None else sc.sweep_axis
     if not 1 <= axis <= len(sc.spec.types):
-        print(f"error: sweep-axis-out-of-range: {axis}", file=sys.stderr)
-        return 1
+        raise SweepFlagError(f"--axis {axis} out of range for {len(sc.spec.types)} types")
     if args.grid is not None:
         if args.grid < 2:
-            print("error: grid-too-small", file=sys.stderr)
-            return 1
+            raise SweepFlagError(f"--grid {args.grid}: a sweep needs at least 2 grid points")
         grid = tuple(i / (args.grid - 1) for i in range(args.grid))
     else:
         grid = sc.sweep_grid or evaluation.DEFAULT_SWEEP_GRID

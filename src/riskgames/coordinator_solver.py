@@ -15,9 +15,12 @@ of the belief support rather than a scan of every prescription: a signal
 group's stage-plus-continuation cost depends only on its signal and member
 set. The search runs on integers, every weighted stage cost and fee
 scaled by one common denominator, and the tie-break below rides in the
-low digits of those integers. The brute-force oracle keeps the plain
-enumeration of prescriptions, and the equilibrium verifier's best
-responses run on an explicit stack.
+low digits of those integers. The brute-force oracle
+(:func:`brute_force_oracle`) still enumerates every policy tree, also
+over period layers: each tree's per-type costs, integers over one common
+denominator, are summed from its subtrees' costs, and the aggregator
+prices each distinct cost vector at the root once. The equilibrium
+verifier's best responses run on an explicit stack.
 
 Conventions fixed here for reproducibility:
 
@@ -201,6 +204,26 @@ class _Engine:
             groups.setdefault(human_map[i], []).append(i)
         return [(signal, tuple(members)) for signal, members in groups.items()]
 
+    def scaled_stages(self, weights: dict[int, Fraction | int]):
+        """(scale, fee, stage): weighted fees and stage costs as integers over one denominator.
+
+        For the k-th type of the prior's support, ``fee[k] / scale`` is its
+        weight times the fee, and ``stage[(node, e)][k] / scale`` its weight
+        times its stage cost of effective move ``e`` at ``node``.
+        """
+        fee = [weights[i] * self.q for i in self.support0]
+        stage = {
+            (node, e): [weights[i] * self.type_stage(i, node, e, False) for i in self.support0]
+            for node in self.spec.nodes
+            for e in self.machine_actions(node)
+        }
+        scale = math.lcm(*(f.denominator for row in (fee, *stage.values()) for f in row))
+
+        def scaled(row: list[Fraction]) -> list[int]:
+            return [f.numerator * (scale // f.denominator) for f in row]
+
+        return scale, scaled(fee), {key: scaled(row) for key, row in stage.items()}
+
 
 class _IntegerSolver(_Engine):
     """Backward induction over period layers, prescription search by subset DP.
@@ -214,20 +237,9 @@ class _IntegerSolver(_Engine):
 
     def __init__(self, spec: GameSpec):
         super().__init__(spec)
-        fee = [self.weights[i] * self.q for i in self.support0]
-        stage = {
-            (node, e): [self.weights[i] * self.type_stage(i, node, e, False) for i in self.support0]
-            for node in spec.nodes
-            for e in self.machine_actions(node)
-        }
-        self.scale = math.lcm(*(f.denominator for row in (fee, *stage.values()) for f in row))
-        self.fee = self._scaled(fee)
-        self.stage = {key: self._scaled(row) for key, row in stage.items()}
+        self.scale, self.fee, self.stage = self.scaled_stages(self.weights)
         self._subset_cache: dict[int, tuple] = {}
         self._split_cache: dict[int, list[list[tuple[int, int]]]] = {}
-
-    def _scaled(self, row: list[Fraction]) -> list[int]:
-        return [f.numerator * (self.scale // f.denominator) for f in row]
 
     def policy(self) -> CoordinatorPolicy:
         layers = self._layers()
@@ -420,11 +432,16 @@ def solve_dp(spec: GameSpec) -> CoordinatorPolicy:
 
 
 class _Oracle(_Engine):
+    """Every deterministic coordinator policy as a decision tree, in canonical order.
+
+    A state's trees come prescription by prescription, in the order of
+    :meth:`prescriptions`, and within one prescription as the product of
+    its children's trees, the first child varying slowest.
+    """
+
     def __init__(self, spec: GameSpec):
         super().__init__(spec)
         self._prescriptions: dict[BeliefState, list] = {}
-        self._counts: dict[BeliefState, int] = {}
-        self._subtrees: dict[BeliefState, tuple[PolicyTree, ...]] = {}
 
     def prescriptions(self, state: BeliefState) -> list:
         """Feasible prescriptions with their child states, canonical order."""
@@ -457,37 +474,82 @@ class _Oracle(_Engine):
         self._prescriptions[state] = out
         return out
 
-    def count(self, state: BeliefState) -> int:
-        cached = self._counts.get(state)
-        if cached is not None:
-            return cached
-        total = 0
-        for _, children in self.prescriptions(state):
-            branch = 1
-            for _, child in children:
-                if child is not None:
-                    branch *= self.count(child)
-            total += branch
-        self._counts[state] = total
-        return total
+    def layers(self) -> list[list[BeliefState]]:
+        """The states of each period from 1 on: the root, then every child of a prescription."""
+        layers = [[BeliefState(self.spec.start_node, self.support0, 1)]]
+        while True:
+            following: dict[BeliefState, None] = {}
+            for state in layers[-1]:
+                for _, children in self.prescriptions(state):
+                    following.update((child, None) for _, child in children if child is not None)
+            if not following:
+                return layers
+            layers.append(list(following))
 
-    def subtrees(self, state: BeliefState) -> tuple[PolicyTree, ...]:
-        cached = self._subtrees.get(state)
-        if cached is not None:
-            return cached
-        trees = tuple(self.iter_trees(state))
-        self._subtrees[state] = trees
-        return trees
+    def count(self, layers: list[list[BeliefState]]) -> int:
+        """Number of trees at the root, counted from the last period back."""
+        later: dict[BeliefState, int] = {}
+        for layer in reversed(layers):
+            later = {
+                state: sum(
+                    math.prod(later[child] for _, child in children if child is not None)
+                    for _, children in self.prescriptions(state)
+                )
+                for state in layer
+            }
+        return later[layers[0][0]]
 
-    def iter_trees(self, state: BeliefState):
-        for presc, children in self.prescriptions(state):
-            signals = [s for s, _ in children]
-            options = [
-                self.subtrees(child) if child is not None else (None,)
-                for _, child in children
-            ]
-            for chosen in itertools.product(*options):
-                yield PolicyTree(presc, tuple(zip(signals, chosen)))
+    def minimize(self, layers: list[list[BeliefState]]) -> tuple[Fraction, list[PolicyTree]]:
+        """The least aggregate value and every tree reaching it, in canonical order.
+
+        A tree's cost vector holds each type's criterion, in integers over
+        one common scale: its prescription's stage costs (fee on override)
+        plus, per signal group, the vector of the subtree the group follows.
+        Each period's subtrees and vectors are built from the next period's,
+        from the last period back, and the aggregator prices each distinct
+        root vector once. The root's trees are not kept: one is built only
+        when its value ties or beats the best so far.
+        """
+        scale, fee, stage = self.scaled_stages(dict.fromkeys(self.support0, 1))
+        position = {i: k for k, i in enumerate(self.support0)}
+        stopped = ((None, (0,) * len(self.support0)),)
+
+        def priced(state: BeliefState, later: dict):
+            """(prescription, signals, chosen (subtree, vector) per child, vector) per tree."""
+            for presc, children in self.prescriptions(state):
+                own = [0] * len(self.support0)
+                for i, signal in presc.human:
+                    k = position[i]
+                    if signal == SILENT:
+                        own[k] = stage[(state.node, presc.machine)][k]
+                    else:
+                        own[k] = stage[(state.node, signal)][k] + fee[k]
+                signals = [signal for signal, _ in children]
+                options = [stopped if child is None else later[child] for _, child in children]
+                for chosen in itertools.product(*options):
+                    yield presc, signals, chosen, tuple(map(sum, zip(own, *(v for _, v in chosen))))
+
+        later: dict[BeliefState, tuple] = {}
+        for layer in reversed(layers[1:]):
+            later = {
+                state: tuple(
+                    (_tree(presc, signals, chosen), vector)
+                    for presc, signals, chosen, vector in priced(state, later)
+                )
+                for state in layer
+            }
+        prices: dict[tuple[int, ...], Fraction] = {}
+        best_value, best_trees = None, []
+        for presc, signals, chosen, vector in priced(layers[0][0], later):
+            value = prices.get(vector)
+            if value is None:
+                per_type = {i: Fraction(c, scale) for i, c in zip(self.support0, vector)}
+                value = prices[vector] = self.aggregate(per_type)
+            if best_value is None or value < best_value:
+                best_value, best_trees = value, []
+            if value == best_value:
+                best_trees.append(_tree(presc, signals, chosen))
+        return best_value, best_trees
 
     def evaluate(self, tree: PolicyTree) -> tuple[Fraction, dict[int, Fraction]]:
         """Forward evaluation: simulate each type and aggregate path totals.
@@ -519,20 +581,26 @@ class _Oracle(_Engine):
                 node = edge.dst
                 cur = cur.child(a)
             per_type[i] = (mean + self.q * overrides) + self.thetas[i] * var
+        return self.aggregate(per_type), per_type
+
+    def aggregate(self, per_type: dict[int, Fraction]) -> Fraction:
+        """The machine aggregator's value of the per-type criteria."""
         agg = self.spec.machine_aggregator
         if agg.kind == "expectation":
-            value = sum((self.weights[i] * c for i, c in per_type.items()), start=Fraction(0))
-        else:
-            outcome = EmpiricalOutcome.of((per_type[i], self.weights[i]) for i in self.support0)
-            value = cvar_aggregate(outcome, agg.alpha)
-        return value, per_type
+            return sum((self.weights[i] * c for i, c in per_type.items()), start=Fraction(0))
+        outcome = EmpiricalOutcome.of((per_type[i], self.weights[i]) for i in self.support0)
+        return cvar_aggregate(outcome, agg.alpha)
+
+
+def _tree(presc: Prescription, signals: list[str], chosen) -> PolicyTree:
+    """The tree of a prescription whose children are the chosen (subtree, vector) pairs."""
+    return PolicyTree(presc, tuple(zip(signals, [tree for tree, _ in chosen])))
 
 
 def count_deterministic_policies(spec: GameSpec) -> int:
     """Number of deterministic coordinator decision trees for an instance."""
     oracle = _Oracle(spec)
-    root = BeliefState(spec.start_node, oracle.support0, 1)
-    return oracle.count(root)
+    return oracle.count(oracle.layers())
 
 
 def evaluate_policy_tree(spec: GameSpec, tree: PolicyTree) -> tuple[Fraction, dict[int, Fraction]]:
@@ -566,36 +634,35 @@ def tree_playout(spec: GameSpec, tree: PolicyTree, type_index: int):
 
 
 def brute_force_oracle(spec: GameSpec, guard: int = DEFAULT_POLICY_GUARD) -> OracleResult:
-    """Exhaustively enumerate coordinator policies and minimize by forward evaluation.
+    """Exhaustively enumerate coordinator policies and keep every minimizer.
 
     Ground truth for :func:`solve_dp`, and the solve path for CVaR
-    aggregation (which does not decompose across belief splits). Errors out
-    when the policy count exceeds ``guard``.
+    aggregation (which does not decompose across belief splits). The
+    policies are counted period by period from the horizon back, and
+    ``guard`` is checked against that count before any tree is built. Every
+    tree is then priced from its subtrees' per-type cost vectors, on
+    integers, so the work grows with the number of trees enumerated while
+    the aggregator runs once per distinct root vector. The optimal trees
+    come in the canonical order of the enumeration.
     """
     problems = validate_spec(spec)
     if problems:
         raise SpecValidationError(problems)
     oracle = _Oracle(spec)
-    root = BeliefState(spec.start_node, oracle.support0, 1)
-    n = oracle.count(root)
+    layers = oracle.layers()
+    n = oracle.count(layers)
     if n == 0:
         raise HorizonError(
             f"no policy can finish from {spec.start_node!r} within horizon {spec.horizon_T}"
         )
     if n > guard:
+        # a long horizon's count can be too long to print in digits
+        count = str(n) if n.bit_length() <= 64 else f"at least 2^{n.bit_length() - 1}"
         raise EnumerationGuardError(
-            f"{n} candidate policies exceed the enumeration guard of {guard}", bound=guard
+            f"{count} candidate policies exceed the enumeration guard of {guard}", bound=guard
         )
-    best_value: Fraction | None = None
-    best_trees: list[PolicyTree] = []
-    for tree in oracle.iter_trees(root):
-        value, _ = oracle.evaluate(tree)
-        if best_value is None or value < best_value:
-            best_value = value
-            best_trees = [tree]
-        elif value == best_value:
-            best_trees.append(tree)
-    return OracleResult(value=best_value, policies=tuple(best_trees), policy_count=n)
+    value, trees = oracle.minimize(layers)
+    return OracleResult(value=value, policies=tuple(trees), policy_count=n)
 
 
 def simulate_type(spec: GameSpec, policy: CoordinatorPolicy, type_index: int) -> TypeTrajectory:

@@ -33,6 +33,14 @@ class AggregatorFlagError(RiskGamesError, ValueError):
     """An aggregator override is neither 'expectation' nor 'cvar:<alpha>' with a numeric alpha."""
 
 
+class SweepFlagError(RiskGamesError, ValueError):
+    """A sweep's ``--axis`` names no type, or its ``--grid`` has fewer than two points."""
+
+
+class EquilibriumVerificationError(RiskGamesError):
+    """A solved policy fails one of the equilibrium conditions it is checked against."""
+
+
 class EnumerationGuardError(RiskGamesError, RuntimeError):
     """An exhaustive enumeration would exceed its size guard."""
 

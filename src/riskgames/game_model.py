@@ -78,11 +78,13 @@ class CostDistribution:
         """Add a deterministic amount: the mean moves, the variance does not."""
         return CostDistribution(self.mean + amount, self.variance)
 
-    @property
+    # computed on first read and kept in the instance dict, which equality,
+    # hashing and repr (all over the two fields) never look at
+    @cached_property
     def exact_mean(self) -> Fraction:
         return as_fraction(self.mean)
 
-    @property
+    @cached_property
     def exact_variance(self) -> Fraction:
         return as_fraction(self.variance)
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import make_diamond
+from riskgames import cli_bench
 from riskgames.cli_bench import (
     CSV_HEADER,
     ScenarioFile,
@@ -12,6 +13,7 @@ from riskgames.cli_bench import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from riskgames.coordinator_solver import CheckResult, EquilibriumReport
 from riskgames.errors import ScenarioError
 
 
@@ -159,7 +161,31 @@ def test_cli_sweep_deterministic_csv(tmp_path, capsys):
 def test_cli_sweep_axis_out_of_range(capsys):
     rc = main(["--scenario", "graph_b", "sweep", "--axis", "9"])
     assert rc == 1
-    assert "sweep-axis-out-of-range" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: SweepFlagError: --axis 9 out of range for 3 types\n"
+
+
+def test_cli_sweep_grid_too_small(capsys):
+    rc = main(["--scenario", "graph_b", "sweep", "--grid", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: SweepFlagError: --grid 1: a sweep needs at least 2 grid points\n"
+
+
+def test_cli_verify_failure_is_one_line_error(monkeypatch, capsys):
+    def failing_report(spec, policy, deviation_budget):
+        ok = CheckResult("machine_ic", True, "no improving machine deviation")
+        bad = CheckResult("belief_consistency", False, "first inconsistent step: made up")
+        return EquilibriumReport(machine_ic=ok, human_ic=ok, belief_consistency=bad, per_type=())
+
+    monkeypatch.setattr(cli_bench, "verify_equilibrium", failing_report)
+    rc = main(["--scenario", "graph_a", "verify"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "belief_consistency: FAIL\n  first inconsistent step: made up" in captured.out
+    assert captured.err == (
+        "error: EquilibriumVerificationError: the solved policy fails belief_consistency\n"
+    )
 
 
 def test_cli_sweep_custom_grid_to_stdout(capsys):
@@ -252,9 +278,8 @@ def test_cli_malformed_scenario_is_one_line_error(key, value, problem, tmp_path,
     assert err.count("\n") == 1
 
 
-def test_cli_long_horizon_cycle_solves_and_verifies(tmp_path, capsys):
-    # periods nest one level per step, so a horizon far beyond the
-    # interpreter's recursion limit must not reach it
+def _cycle_scenario(tmp_path) -> str:
+    """A 3-node cycle with a 3000-period horizon, far beyond the recursion limit."""
     data = {
         "nodes": ["1", "2", "3"],
         "edges": [
@@ -273,9 +298,30 @@ def test_cli_long_horizon_cycle_solves_and_verifies(tmp_path, capsys):
     }
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps(data))
-    assert main(["--scenario", str(path), "solve"]) == 0
+    return str(path)
+
+
+def test_cli_long_horizon_cycle_solves_and_verifies(tmp_path, capsys):
+    # periods nest one level per step, so the horizon must not reach the
+    # interpreter's recursion limit
+    path = _cycle_scenario(tmp_path)
+    assert main(["--scenario", path, "solve"]) == 0
     assert "root value: 3.02" in capsys.readouterr().out
-    assert main(["--scenario", str(path), "verify"]) == 0
+    assert main(["--scenario", path, "verify"]) == 0
     captured = capsys.readouterr()
     assert "machine_ic: PASS" in captured.out and "human_ic: PASS" in captured.out
     assert captured.err == ""
+
+
+def test_cli_long_horizon_cycle_cvar_hits_enumeration_guard(tmp_path, capsys):
+    # the policy count, thousands of digits long, is reached period by
+    # period before the guard stops the enumeration
+    path = _cycle_scenario(tmp_path)
+    rc = main(["--scenario", path, "--aggregator", "cvar:0.5", "solve"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "error: EnumerationGuardError: at least 2^7169 candidate policies exceed "
+        "the enumeration guard of 10000000\n"
+    )

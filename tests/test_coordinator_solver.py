@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -5,11 +6,13 @@ import pytest
 
 from conftest import make_diamond
 from instance_gen import oracle_sized_game, random_game
-from riskgames import Aggregator
+from riskgames import EXPECTATION, Aggregator
 from riskgames.baseline_planners import average_theta, best_case_value, risk_adjusted_shortest_path
 from riskgames.coordinator_solver import (
     BeliefState,
     CoordinatorPolicy,
+    OracleResult,
+    PolicyTree,
     Prescription,
     _Oracle,
     brute_force_oracle,
@@ -141,6 +144,46 @@ def test_dp_equals_reference_induction_with_tie_break(family):
         spec = make(seed)
         policy = solve_dp(spec)
         assert (policy.decision, policy.value, policy.transitions) == reference_induction(spec), seed
+
+
+def reference_oracle(spec):
+    """Every tree in _Oracle's canonical order, each priced by the forward walk.
+
+    ``_Oracle.evaluate`` is the walk behind evaluate_policy_tree; one engine
+    serves every tree of the instance.
+    """
+    oracle = _Oracle(spec)
+
+    def trees(state):
+        for presc, children in oracle.prescriptions(state):
+            signals = [signal for signal, _ in children]
+            options = [[None] if child is None else list(trees(child)) for _, child in children]
+            for chosen in itertools.product(*options):
+                yield PolicyTree(presc, tuple(zip(signals, chosen)))
+
+    best, minimizers, count = None, [], 0
+    for tree in trees(BeliefState(spec.start_node, oracle.support0, 1)):
+        count += 1
+        value, _ = oracle.evaluate(tree)
+        if best is None or value < best:
+            best, minimizers = value, []
+        if value == best:
+            minimizers.append(tree)
+    return OracleResult(value=best, policies=tuple(minimizers), policy_count=count)
+
+
+@pytest.mark.parametrize("aggregator", [EXPECTATION, Aggregator.cvar(0.5)], ids=["mean", "cvar"])
+def test_oracle_equals_reference_oracle(aggregator):
+    for seed in range(50):
+        spec = replace(oracle_sized_game(seed), machine_aggregator=aggregator)
+        assert brute_force_oracle(spec) == reference_oracle(spec), seed
+
+
+def test_oracle_equals_reference_oracle_on_graph_a_cvar(graph_a):
+    spec = replace(graph_a, machine_aggregator=Aggregator.cvar(0.5))
+    result = brute_force_oracle(spec)
+    assert (result.value, len(result.policies), result.policy_count) == (40, 168, 32256)
+    assert result == reference_oracle(spec)
 
 
 def test_oracle_k1_equals_shortest_path(diamond):

@@ -35,6 +35,18 @@ def test_cost_distribution_shift_keeps_variance():
     assert CostDistribution(2, 1).shifted(0.5) == CostDistribution(2.5, 1)
 
 
+def test_cost_distribution_exact_moments_are_cached():
+    cost = CostDistribution(0.05, 2)
+    fresh = CostDistribution(0.05, 2)
+    assert cost.exact_mean == Fraction(1, 20) and cost.exact_variance == 2
+    assert cost.exact_mean is cost.exact_mean
+    assert cost.exact_variance is cost.exact_variance
+    # a read moment leaves equality, hashing and repr on the two fields
+    assert cost == fresh and hash(cost) == hash(fresh)
+    assert repr(cost) == repr(fresh) == "CostDistribution(mean=0.05, variance=2)"
+    assert cost != CostDistribution(0.05, 3)
+
+
 def test_effective_action_cases():
     assert effective_action(SILENT, "E") == ("E", False)
     assert effective_action("S", "N") == ("S", True)
