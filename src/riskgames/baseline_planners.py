@@ -2,18 +2,24 @@
 the best-case benchmark, and the two no-interaction baselines.
 
 The enumeration oracle is the ground truth every planner is tested
-against. Planners work on exact rationals and break ties lexicographically
-on direction labels so results are reproducible bit for bit.
+against. Every planner is one backward induction over (node, periods left)
+on integers: each option's weight, mean + theta * variance (plus the fee on
+an override), is scaled by one common denominator, and results become
+exact rationals only when they leave the module. At each (node, periods
+left) the induction tries STOP first (after staying SILENT, for a rider
+answering the neutral machine), then the out-edges in canonical direction
+order, and keeps the first strict minimum, so results are reproducible bit
+for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EnumerationGuardError, UnreachableTerminalError
 from .game_model import (
-    _DIR_RANK,
     SILENT,
     STOP,
     Edge,
@@ -117,45 +123,79 @@ def enumerate_paths_oracle(spec: GameSpec, node_limit: int = PATH_ENUMERATION_NO
     return results
 
 
+def _induct(spec: GameSpec, theta: Fraction, fee: Fraction = Fraction(0), machine=None):
+    """Backward induction over (node, periods left r = 1..T) on scaled integers.
+
+    Returns ``action``: ``action[r][node]`` is the first strict minimum of the
+    cost-to-go over STOP (at terminals), then the out-edges in canonical
+    order, and is missing where no terminal can be reached in time. Every
+    option weighs mean + theta * variance, plus ``fee`` on a move; given a
+    ``machine`` table, a SILENT option that rides ``machine[r][node]`` free
+    of the fee comes first.
+    """
+    costs = [e.cost for e in spec.edges] + list(spec.terminals.values())
+    scale = math.lcm(
+        fee.denominator,
+        *(c.exact_mean.denominator for c in costs),
+        *(c.exact_variance.denominator * theta.denominator for c in costs),
+    )
+
+    def weight(cost) -> int:
+        m, v = cost.exact_mean, cost.exact_variance
+        return (m.numerator * (scale // m.denominator)
+                + theta.numerator * v.numerator * (scale // (v.denominator * theta.denominator)))
+
+    charge = fee.numerator * (scale // fee.denominator)
+    stop = {node: weight(cost) for node, cost in spec.terminals.items()}
+    moves = {node: {d: (e.dst, weight(e.cost)) for d, e in out.items()}
+             for node, out in spec.out_edges.items()}
+    action: list[dict[str, str]] = [{}]
+    later: dict[str, int] = {}
+    for r in range(1, spec.horizon_T + 1):
+        now: dict[str, int] = {}
+        acts: dict[str, str] = {}
+        ride = machine[r] if machine is not None else {}
+        for node, out in moves.items():
+            best = act = None
+            default = ride.get(node)
+            if default == STOP:
+                best, act = stop[node], SILENT
+            elif default is not None:
+                dst, w = out[default]
+                best, act = w + later[dst], SILENT
+            if node in stop and (best is None or charge + stop[node] < best):
+                best, act = charge + stop[node], STOP
+            for d, (dst, w) in out.items():
+                if dst in later and (best is None or charge + w + later[dst] < best):
+                    best, act = charge + w + later[dst], d
+            if act is not None:
+                now[node], acts[node] = best, act
+        action.append(acts)
+        later = now
+    return action
+
+
 def risk_adjusted_shortest_path(spec: GameSpec, theta) -> PlannerResult:
     """Cheapest start-to-terminal route under mean + theta * variance edge weights.
 
-    Stage-indexed shortest path (at most horizon - 1 moves, one period kept
-    for STOP), terminal contribution included. Ties break lexicographically
-    on the direction-label sequence.
+    At most horizon - 1 moves (one period is kept for STOP), terminal
+    contribution included. Ties break toward stopping, then toward the
+    lexicographically smallest direction-label sequence.
     """
     t = theta_of(theta)
-    max_moves = spec.horizon_T - 1
-    # layer k: node -> (cost, direction ranks, edges), best by (cost, ranks)
-    layer: dict[str, tuple[Fraction, tuple[int, ...], tuple[Edge, ...]]] = {
-        spec.start_node: (Fraction(0), (), ())
-    }
-    best: tuple[Fraction, tuple[int, ...], tuple[Edge, ...], str] | None = None
-    for k in range(max_moves + 1):
-        for node, (cost, ranks, edges) in layer.items():
-            if spec.is_terminal(node):
-                term = spec.terminals[node]
-                total = cost + term.exact_mean + t * term.exact_variance
-                if best is None or (total, ranks) < (best[0], best[1]):
-                    best = (total, ranks, edges, node)
-        if k == max_moves:
-            break
-        nxt: dict[str, tuple[Fraction, tuple[int, ...], tuple[Edge, ...]]] = {}
-        for node, (cost, ranks, edges) in layer.items():
-            for edge in spec.out_edges[node].values():
-                w = edge.cost.exact_mean + t * edge.cost.exact_variance
-                cand = (cost + w, ranks + (_DIR_RANK[edge.direction],), edges + (edge,))
-                cur = nxt.get(edge.dst)
-                if cur is None or (cand[0], cand[1]) < (cur[0], cur[1]):
-                    nxt[edge.dst] = cand
-        layer = nxt
-    if best is None:
+    action = _induct(spec, t)
+    node, r = spec.start_node, spec.horizon_T
+    if node not in action[-1]:  # the r = T layer, empty when T < 1
         raise UnreachableTerminalError(
-            f"no terminal reachable from {spec.start_node!r} within {max_moves} moves"
+            f"no terminal reachable from {spec.start_node!r} within {spec.horizon_T - 1} moves"
         )
-    path = best[2]
+    path: list[Edge] = []
+    while action[r][node] != STOP:
+        edge = spec.out_edges[node][action[r][node]]
+        path.append(edge)
+        node, r = edge.dst, r - 1
     per_type = {i: path_criterion(spec, path, 0, th) for i, th in enumerate(spec.types)}
-    return PlannerResult(path=path, per_type_criterion=per_type, planner_theta=t)
+    return PlannerResult(path=tuple(path), per_type_criterion=per_type, planner_theta=t)
 
 
 def average_theta(spec: GameSpec) -> Fraction:
@@ -196,111 +236,35 @@ def baseline_policy(spec: GameSpec, mode: str) -> PlannerResult:
     raise ValueError(f"unknown baseline mode {mode!r}")
 
 
-def _neutral_machine_rule(spec: GameSpec):
-    """Action table of an expectation-only machine: (node, periods left) -> action.
-
-    The rule replans from wherever it finds itself, so it stays well
-    defined when a rider diverts the car.
-    """
-    cost: dict[tuple[str, int], Fraction | None] = {}
-    action: dict[tuple[str, int], str] = {}
-
-    def solve(node: str, r: int) -> Fraction | None:
-        # r strictly decreases on recursion, so memoization needs no cycle guard
-        if r <= 0:
-            return None
-        key = (node, r)
-        if key in cost:
-            return cost[key]
-        best = None
-        best_act = None
-        if spec.is_terminal(node):
-            best = spec.terminals[node].exact_mean
-            best_act = STOP
-        for edge in spec.out_edges[node].values():
-            sub = solve(edge.dst, r - 1)
-            if sub is None:
-                continue
-            cand = edge.cost.exact_mean + sub
-            if best is None or cand < best:
-                best, best_act = cand, edge.direction
-        cost[key] = best
-        if best is not None:
-            action[key] = best_act
-        return best
-
-    return solve, action
-
-
 def neutral_override_plan(spec: GameSpec, type_index: int) -> RealizedPlan:
     """Best response of one rider type against the expectation-only machine.
 
-    The rider may stay silent (the neutral machine moves) or pay the
-    transmission fee to redirect; this optimizes the rider's own
+    The machine replans from wherever it finds itself: its action table is
+    the induction at theta = 0 without fee, so it stays well defined when a
+    rider diverts the car. The rider may stay silent (the machine moves) or
+    pay the transmission fee to redirect; this optimizes the rider's own
     mean-plus-weighted-variance cost-to-go.
     """
-    theta = as_fraction(spec.types[type_index])
-    q = as_fraction(spec.transmission_cost)
-    solve_neutral, machine_action = _neutral_machine_rule(spec)
-    solve_neutral(spec.start_node, spec.horizon_T)
-
-    memo: dict[tuple[str, int], tuple[Fraction, str] | None] = {}
-
-    def respond(node: str, r: int):
-        if r <= 0:
-            return None
-        key = (node, r)
-        if key in memo:
-            return memo[key]
-        best = None  # (cost, human action)
-        machine_move = machine_action.get((node, r))
-        # silent: ride whatever the neutral rule does here
-        if machine_move is not None:
-            if machine_move == STOP:
-                term = spec.terminals[node]
-                cand = term.exact_mean + theta * term.exact_variance
-                best = (cand, SILENT)
-            else:
-                edge = spec.out_edges[node][machine_move]
-                sub = respond(edge.dst, r - 1)
-                if sub is not None:
-                    cand = edge.cost.exact_mean + theta * edge.cost.exact_variance + sub[0]
-                    best = (cand, SILENT)
-        # overrides: pay the fee, pick any legal move
-        if spec.is_terminal(node):
-            term = spec.terminals[node]
-            cand = q + term.exact_mean + theta * term.exact_variance
-            if best is None or cand < best[0]:
-                best = (cand, STOP)
-        for edge in spec.out_edges[node].values():
-            sub = respond(edge.dst, r - 1)
-            if sub is None:
-                continue
-            cand = q + edge.cost.exact_mean + theta * edge.cost.exact_variance + sub[0]
-            if best is None or cand < best[0]:
-                best = (cand, edge.direction)
-        memo[key] = best
-        return best
-
-    state = respond(spec.start_node, spec.horizon_T)
-    if state is None:
+    machine = _induct(spec, Fraction(0))
+    respond = _induct(
+        spec, as_fraction(spec.types[type_index]), as_fraction(spec.transmission_cost), machine
+    )
+    node, r = spec.start_node, spec.horizon_T
+    if node not in respond[-1]:
         raise UnreachableTerminalError(
             f"no terminal reachable from {spec.start_node!r} within the horizon"
         )
-    node, r = spec.start_node, spec.horizon_T
     edges: list[Edge] = []
     signals: list[str] = []
     machine_moves: list[str] = []
     override_periods: list[int] = []
     while True:
-        period = spec.horizon_T - r + 1
-        _, act = memo[(node, r)]
-        default = machine_action[(node, r)]
+        act, default = respond[r][node], machine[r][node]
         signals.append(act)
         machine_moves.append(default)
-        move = default if act == SILENT else act
         if act != SILENT:
-            override_periods.append(period)
+            override_periods.append(spec.horizon_T - r + 1)
+        move = default if act == SILENT else act
         if move == STOP:
             return RealizedPlan(
                 path=tuple(edges),

@@ -29,7 +29,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import IO, Sequence
@@ -467,7 +467,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.seed is not None:
             sc.seed = args.seed
         if args.aggregator is not None:
-            sc.spec.machine_aggregator = _parse_aggregator_flag(args.aggregator)
+            sc.spec = replace(sc.spec, machine_aggregator=_parse_aggregator_flag(args.aggregator))
+            problems = validate_spec(sc.spec)
+            if problems:
+                raise ScenarioError(problems)
         return _COMMANDS[args.command](sc, args)
     except RiskGamesError as exc:
         slug = type(exc).__name__

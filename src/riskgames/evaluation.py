@@ -22,6 +22,7 @@ from .baseline_planners import (
     baseline_policy,
     best_case_value,
     neutral_override_plan,
+    risk_adjusted_shortest_path,
 )
 from .coordinator_solver import CoordinatorPolicy, simulate_type, solve_dp
 from .errors import UnsupportedAggregatorError
@@ -209,34 +210,37 @@ def prior_sweep(
     """Regret of the three strategies as the prior mass on one type varies.
 
     For each grid point p the swept type gets mass p and every other type
-    (1 - p) / (K - 1); the coordinator problem is re-solved, both
-    baselines are re-planned, and one row of exact regrets is emitted.
-    Rows come out in grid order regardless of evaluation order.
+    (1 - p) / (K - 1), and one row of exact regrets is emitted, in grid
+    order. Each type's best-case criterion and its criterion under the
+    neutral baseline (plain or with overrides) do not depend on the prior,
+    so they are planned once per sweep and weighted by each point's prior;
+    only the coordinator problem and the average baseline, whose theta bar
+    moves with the prior, are re-solved at every point.
     """
     if not 0 <= sweep_type < len(spec.types):
         raise ValueError(f"sweep type index {sweep_type} out of range")
     if spec.machine_aggregator.kind != "expectation":
         raise UnsupportedAggregatorError("prior sweeps run under the expectation aggregator")
     points = DEFAULT_SWEEP_GRID if grid is None else tuple(grid)
+    types = range(len(spec.types))
+    best_case = {i: risk_adjusted_shortest_path(spec, spec.types[i]).per_type_criterion[i] for i in types}
+    if neutral_with_overrides:
+        neutral_plans = {i: neutral_override_plan(spec, i) for i in types}
+    else:
+        neutral_plans = dict.fromkeys(types, baseline_policy(spec, "neutral"))
+    neutral = {i: evaluate_policy_exact(spec, plan, i).criterion for i, plan in neutral_plans.items()}
     rows: list[RegretRow] = []
     for p in points:
         pf = as_fraction(p)
         if pf < 0 or pf > 1:
             raise ValueError(f"grid value {p!r} outside [0, 1]")
         swept = with_prior(spec, _sweep_priors(spec, sweep_type, pf))
-        bcp = best_case_value(swept)
+        weights = swept.exact_prior()
+        bcp = sum((w * best_case[i] for i, w in weights.items()), start=Fraction(0))
         hm_policy = solve_dp(swept)
         hm = hm_policy.value[hm_policy.root]
         ma = evaluate_policy(swept, baseline_policy(swept, "average")).weighted_criterion
-        if neutral_with_overrides:
-            per_type = {
-                i: evaluate_policy_exact(swept, neutral_override_plan(swept, i), i)
-                for i in swept.positive_support()
-            }
-            weights = swept.exact_prior()
-            mn = sum((weights[i] * o.criterion for i, o in per_type.items()), start=Fraction(0))
-        else:
-            mn = evaluate_policy(swept, baseline_policy(swept, "neutral")).weighted_criterion
+        mn = sum((w * neutral[i] for i, w in weights.items()), start=Fraction(0))
         rows.append(
             RegretRow(
                 sweep_value=float(p),

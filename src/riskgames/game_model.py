@@ -116,12 +116,14 @@ class Aggregator:
 EXPECTATION = Aggregator.expectation()
 
 
-@dataclass
+@dataclass(frozen=True)
 class GameSpec:
     """The full game tuple instantiated on a directed graph.
 
-    Treated as immutable after validation; all reader methods are pure so
-    a validated spec may be shared freely across threads.
+    Frozen: a changed spec is a new one (``dataclasses.replace``), which
+    must be validated again. The engine tables are computed on first read
+    and kept in the instance dict. All reader methods are pure, so a spec
+    may be shared freely across threads.
     """
 
     nodes: tuple[str, ...]

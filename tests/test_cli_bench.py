@@ -325,3 +325,32 @@ def test_cli_long_horizon_cycle_cvar_hits_enumeration_guard(tmp_path, capsys):
         "error: EnumerationGuardError: at least 2^7169 candidate policies exceed "
         "the enumeration guard of 10000000\n"
     )
+
+
+def test_cli_long_horizon_cycle_baselines_with_overrides(tmp_path, capsys):
+    # the neutral machine and the rider's response are planned period by
+    # period, so a 3000-period horizon does not nest calls
+    path = _cycle_scenario(tmp_path)
+    rc = main(["--scenario", path, "baselines", "--neutral-with-overrides"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == ""
+    assert "neutral (with overrides): type 0: 2.04, type 1: 4 | weighted 3.02 | regret 0" in (
+        captured.out.splitlines()
+    )
+
+
+def test_cli_long_horizon_cycle_sweep_with_overrides(tmp_path, capsys):
+    path = _cycle_scenario(tmp_path)
+    rc = main(["--scenario", path, "sweep", "--neutral-with-overrides"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == ""
+    assert captured.out.splitlines() == [CSV_HEADER, "0,0,0,0,4", "1,0,0,0,2.04"]
+
+
+def test_cli_aggregator_flag_is_validated(capsys):
+    rc = main(["--scenario", "graph_a", "--aggregator", "cvar:1.5", "solve"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: ScenarioError: cvar aggregator needs alpha in [0, 1), got 1.5\n"

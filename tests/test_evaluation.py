@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from instance_gen import random_game
 from riskgames import Aggregator
 from riskgames.baseline_planners import (
     baseline_policy,
@@ -17,6 +18,7 @@ from riskgames.errors import UnsupportedAggregatorError
 from riskgames.evaluation import (
     PolicyEvaluation,
     RegretRow,
+    _sweep_priors,
     compute_regret,
     evaluate_policy,
     evaluate_policy_exact,
@@ -24,6 +26,7 @@ from riskgames.evaluation import (
     prior_sweep,
     sample_trajectory,
 )
+from riskgames.game_model import as_fraction, with_prior
 
 
 def test_coordinator_evaluation_matches_root_value(graph_a):
@@ -171,6 +174,38 @@ def test_prior_sweep_neutral_override_variant_runs(graph_b):
         assert with_overrides.regret_mn >= 0
         # letting riders correct the neutral car can only help it
         assert with_overrides.regret_mn <= fixed.regret_mn + 1e-12
+
+
+def _replanned_sweep(spec, sweep_type, grid, neutral_with_overrides):
+    """The sweep with every baseline re-planned at every grid point."""
+    rows = []
+    for p in grid:
+        swept = with_prior(spec, _sweep_priors(spec, sweep_type, as_fraction(p)))
+        weights = swept.exact_prior()
+        if neutral_with_overrides:
+            neutral = {i: neutral_override_plan(swept, i) for i in weights}
+        else:
+            neutral = dict.fromkeys(weights, baseline_policy(swept, "neutral"))
+        mn = sum(w * evaluate_policy_exact(swept, neutral[i], i).criterion for i, w in weights.items())
+        bcp = best_case_value(swept)
+        policy = solve_dp(swept)
+        ma = evaluate_policy(swept, baseline_policy(swept, "average")).weighted_criterion
+        rows.append(RegretRow(float(p), float(policy.value[policy.root] - bcp), float(ma - bcp),
+                              float(mn - bcp), float(bcp)))
+    return rows
+
+
+@pytest.mark.parametrize("neutral_with_overrides", [False, True], ids=["plain", "overrides"])
+def test_prior_sweep_equals_per_point_replanning(neutral_with_overrides):
+    # prior-free criteria are planned once per sweep; the rows must not change
+    grid = (0.0, 0.2, 0.5, 1.0)
+    specs = [random_game(seed, k_types=3) for seed in range(40)]
+    for seed, spec in enumerate(specs):
+        if len(spec.types) < 2:  # a single type cannot take mass 0
+            continue
+        for axis in range(len(spec.types)):
+            rows = prior_sweep(spec, axis, grid, neutral_with_overrides)
+            assert rows == _replanned_sweep(spec, axis, grid, neutral_with_overrides), (seed, axis)
 
 
 def test_prior_sweep_validates_inputs(graph_b):

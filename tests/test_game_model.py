@@ -1,13 +1,16 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
 
+from conftest import make_diamond
 from riskgames import CostDistribution, Edge, GameSpec
 from riskgames.errors import IllegalMoveError, PathError
 from riskgames.game_model import (
+    EXPECTATION,
     SILENT,
     STOP,
+    Aggregator,
     as_fraction,
     effective_action,
     path_criterion,
@@ -203,6 +206,18 @@ def test_validate_spec_never_raises_on_junk():
     )
     problems = validate_spec(junk)
     assert len(problems) >= 5
+
+
+def test_validated_spec_is_frozen():
+    spec = make_diamond()
+    assert validate_spec(spec) == []
+    spec.out_edges
+    assert "out_edges" in vars(spec)  # engine tables are still cached on first read
+    with pytest.raises(FrozenInstanceError):
+        spec.horizon_T = 5
+    with pytest.raises(FrozenInstanceError):
+        spec.machine_aggregator = Aggregator.cvar(0.5)
+    assert spec.horizon_T == 3 and spec.machine_aggregator == EXPECTATION
 
 
 def _spec_fields(spec):
