@@ -32,9 +32,11 @@ from .coordinator_solver import (
     PolicyTree,
     Prescription,
     TypeTrajectory,
+    aggregate,
     brute_force_oracle,
     count_deterministic_policies,
     evaluate_policy_tree,
+    playout,
     simulate_type,
     solve_dp,
     tree_playout,

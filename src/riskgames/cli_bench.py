@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -43,14 +42,7 @@ from .baseline_planners import (
     neutral_override_plan,
     risk_adjusted_shortest_path,
 )
-from .coordinator_solver import (
-    brute_force_oracle,
-    evaluate_policy_tree,
-    simulate_type,
-    solve_dp,
-    tree_playout,
-    verify_equilibrium,
-)
+from .coordinator_solver import brute_force_oracle, playout, solve_dp, verify_equilibrium
 from .errors import (
     AggregatorFlagError,
     EquilibriumVerificationError,
@@ -64,6 +56,7 @@ from .game_model import (
     CostDistribution,
     Edge,
     GameSpec,
+    as_float,
     validate_spec,
 )
 
@@ -116,7 +109,7 @@ def _parse_aggregator(raw, problems: list[str]) -> Aggregator:
     if isinstance(raw, dict) and set(raw) == {"cvar"}:
         try:
             return Aggregator.cvar(float(raw["cvar"]))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             problems.append(f"aggregator cvar level {raw['cvar']!r} is not a number")
             return EXPECTATION
     problems.append(f"aggregator must be 'expectation' or {{'cvar': alpha}}, got {raw!r}")
@@ -150,7 +143,8 @@ def scenario_from_dict(data: dict) -> ScenarioFile:
         raise ScenarioError(problems)
 
     def number(x, where):
-        if isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x):
+        # also false for NaN and infinities; an int compares exactly, with no overflow
+        if isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max:
             return float(x)
         problems.append(f"{where} must be a finite number, got {x!r}")
         return 0.0
@@ -278,7 +272,7 @@ def save_scenario(sc: ScenarioFile, path: str | Path) -> None:
 
 def fmt(x) -> str:
     """12 significant digits, the CSV and report number format."""
-    return format(float(x), ".12g")
+    return format(as_float(x), ".12g")
 
 
 def write_regret_csv(rows: Sequence[evaluation.RegretRow], stream: IO[str]) -> None:
@@ -289,11 +283,12 @@ def write_regret_csv(rows: Sequence[evaluation.RegretRow], stream: IO[str]) -> N
         )
 
 
-def _describe_route(edges, terminal) -> str:
-    if not edges:
-        return f"{terminal} STOP"
-    parts = [edges[0].src]
-    for e in edges:
+def _describe_route(route) -> str:
+    """A route, a playout's or a path's, as ``start -dir-> node ... STOP``."""
+    if not route.edges:
+        return f"{route.terminal} STOP"
+    parts = [route.edges[0].src]
+    for e in route.edges:
         parts.append(f"-{e.direction}-> {e.dst}")
     return " ".join(parts) + " STOP"
 
@@ -305,27 +300,16 @@ def _cmd_solve(sc: ScenarioFile, args) -> int:
         print(f"aggregator: cvar({fmt(spec.machine_aggregator.alpha)}) via policy enumeration")
         print(f"root value: {fmt(result.value)}")
         print(f"optimal policies: {len(result.policies)} of {result.policy_count}")
-        tree = result.policies[0]
-        _, per_type = evaluate_policy_tree(spec, tree)
-        for i in sorted(per_type):
-            edges, signals, override_periods, terminal = tree_playout(spec, tree, i)
-            ovr = ", ".join(f"period {p} -> {signals[p - 1]}" for p in override_periods) or "none"
-            print(
-                f"type {i} (theta={fmt(spec.types[i])}): route {_describe_route(edges, terminal)}"
-                f" | overrides: {ovr} | criterion {fmt(per_type[i])}"
-            )
-        return 0
-    policy = solve_dp(spec)
-    print(f"root value: {fmt(policy.value[policy.root])}")
-    for i in sorted(policy.weights):
-        sim = simulate_type(spec, policy, i)
-        ovr = (
-            ", ".join(f"period {p} -> {sim.signals[p - 1]}" for p in sim.override_periods)
-            or "none"
-        )
+        policy = result.policies[0]
+    else:
+        policy = solve_dp(spec)
+        print(f"root value: {fmt(policy.value[policy.root])}")
+    for i in spec.positive_support():
+        route = playout(spec, policy, i)
+        ovr = ", ".join(f"period {p} -> {route.signals[p - 1]}" for p in route.override_periods)
         print(
-            f"type {i} (theta={fmt(spec.types[i])}): route {_describe_route(sim.edges, sim.terminal)}"
-            f" | overrides: {ovr} | criterion {fmt(sim.criterion)}"
+            f"type {i} (theta={fmt(spec.types[i])}): route {_describe_route(route)}"
+            f" | overrides: {ovr or 'none'} | criterion {fmt(route.criterion)}"
         )
     return 0
 
@@ -351,8 +335,9 @@ def _cmd_baselines(sc: ScenarioFile, args) -> int:
         crits = ", ".join(
             f"type {i}: {fmt(o.criterion)}" for i, o in sorted(ev.per_type.items())
         )
+        # every type rides the planned route silently, so any type's playout describes it
         print(
-            f"{mode}: route {_describe_route(plan.path, plan.terminal)} | {crits}"
+            f"{mode}: route {_describe_route(playout(spec, plan, 0))} | {crits}"
             f" | weighted {fmt(ev.weighted_criterion)} | regret {fmt(ev.weighted_criterion - bcp)}"
         )
     return 0
@@ -400,12 +385,12 @@ def _cmd_paths(sc: ScenarioFile, args) -> int:
     headers = ["route", "mean", "variance"] + [f"criterion@{fmt(t)}" for t in spec.types]
     print("\t".join(headers))
     for ps in stats:
-        row = [_describe_route(ps.edges, ps.terminal), fmt(ps.mean), fmt(ps.variance)]
+        row = [_describe_route(ps), fmt(ps.mean), fmt(ps.variance)]
         row += [fmt(ps.criterion(t)) for t in spec.types]
         print("\t".join(row))
     for i, t in enumerate(spec.types):
         plan = risk_adjusted_shortest_path(spec, t)
-        print(f"optimal@{fmt(t)}: {_describe_route(plan.path, plan.terminal)} "
+        print(f"optimal@{fmt(t)}: {_describe_route(playout(spec, plan, i))} "
               f"criterion {fmt(plan.per_type_criterion[i])}")
     return 0
 

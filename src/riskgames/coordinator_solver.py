@@ -22,6 +22,12 @@ denominator, are summed from its subtrees' costs, and the aggregator
 prices each distinct cost vector at the root once. The equilibrium
 verifier's best responses run on an explicit stack.
 
+Every forward evaluation of a policy, of any kind, is one walk:
+:func:`playout` follows one rider type's route from the start node and
+returns its :class:`TypeTrajectory` with exact moments.
+:func:`simulate_type`, :func:`tree_playout` and
+:func:`evaluate_policy_tree` are views of it.
+
 Conventions fixed here for reproducibility:
 
 * ties between prescriptions break lexicographically, machine action
@@ -39,6 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .baseline_planners import PlannerResult, RealizedPlan
 from .belief_filter import Belief, bayes_update
 from .errors import (
     DeviationBudgetError,
@@ -51,6 +58,7 @@ from .game_model import (
     HUMAN_ACTIONS,
     SILENT,
     STOP,
+    Aggregator,
     Edge,
     GameSpec,
     as_fraction,
@@ -511,6 +519,7 @@ class _Oracle(_Engine):
         when its value ties or beats the best so far.
         """
         scale, fee, stage = self.scaled_stages(dict.fromkeys(self.support0, 1))
+        agg = self.spec.machine_aggregator
         position = {i: k for k, i in enumerate(self.support0)}
         stopped = ((None, (0,) * len(self.support0)),)
 
@@ -544,52 +553,12 @@ class _Oracle(_Engine):
             value = prices.get(vector)
             if value is None:
                 per_type = {i: Fraction(c, scale) for i, c in zip(self.support0, vector)}
-                value = prices[vector] = self.aggregate(per_type)
+                value = prices[vector] = aggregate(agg, self.weights, per_type)
             if best_value is None or value < best_value:
                 best_value, best_trees = value, []
             if value == best_value:
                 best_trees.append(_tree(presc, signals, chosen))
         return best_value, best_trees
-
-    def evaluate(self, tree: PolicyTree) -> tuple[Fraction, dict[int, Fraction]]:
-        """Forward evaluation: simulate each type and aggregate path totals.
-
-        Deliberately independent of the Bellman recursion; per-type costs
-        come from whole-path mean/variance/override aggregation.
-        """
-        per_type: dict[int, Fraction] = {}
-        for i in self.support0:
-            mean = Fraction(0)
-            var = Fraction(0)
-            overrides = 0
-            node = self.spec.start_node
-            cur: PolicyTree | None = tree
-            while True:
-                presc = cur.prescription
-                a = presc.human_map[i]
-                override = a != SILENT
-                effective = a if override else presc.machine
-                overrides += 1 if override else 0
-                if effective == STOP:
-                    term = self.spec.terminals[node]
-                    mean += term.exact_mean
-                    var += term.exact_variance
-                    break
-                edge = self.spec.out_edges[node][effective]
-                mean += edge.cost.exact_mean
-                var += edge.cost.exact_variance
-                node = edge.dst
-                cur = cur.child(a)
-            per_type[i] = (mean + self.q * overrides) + self.thetas[i] * var
-        return self.aggregate(per_type), per_type
-
-    def aggregate(self, per_type: dict[int, Fraction]) -> Fraction:
-        """The machine aggregator's value of the per-type criteria."""
-        agg = self.spec.machine_aggregator
-        if agg.kind == "expectation":
-            return sum((self.weights[i] * c for i, c in per_type.items()), start=Fraction(0))
-        outcome = EmpiricalOutcome.of((per_type[i], self.weights[i]) for i in self.support0)
-        return cvar_aggregate(outcome, agg.alpha)
 
 
 def _tree(presc: Prescription, signals: list[str], chosen) -> PolicyTree:
@@ -601,36 +570,6 @@ def count_deterministic_policies(spec: GameSpec) -> int:
     """Number of deterministic coordinator decision trees for an instance."""
     oracle = _Oracle(spec)
     return oracle.count(oracle.layers())
-
-
-def evaluate_policy_tree(spec: GameSpec, tree: PolicyTree) -> tuple[Fraction, dict[int, Fraction]]:
-    """Aggregate value and per-type criteria of an explicit decision tree."""
-    return _Oracle(spec).evaluate(tree)
-
-
-def tree_playout(spec: GameSpec, tree: PolicyTree, type_index: int):
-    """(edges, signals, override periods, terminal) of one type under a tree."""
-    edges: list[Edge] = []
-    signals: list[str] = []
-    override_periods: list[int] = []
-    node = spec.start_node
-    cur: PolicyTree | None = tree
-    period = 1
-    while True:
-        presc = cur.prescription
-        a = presc.human_map[type_index]
-        signals.append(a)
-        override = a != SILENT
-        if override:
-            override_periods.append(period)
-        effective = a if override else presc.machine
-        if effective == STOP:
-            return tuple(edges), tuple(signals), tuple(override_periods), node
-        edge = spec.out_edges[node][effective]
-        edges.append(edge)
-        node = edge.dst
-        cur = cur.child(a)
-        period += 1
 
 
 def brute_force_oracle(spec: GameSpec, guard: int = DEFAULT_POLICY_GUARD) -> OracleResult:
@@ -665,51 +604,43 @@ def brute_force_oracle(spec: GameSpec, guard: int = DEFAULT_POLICY_GUARD) -> Ora
     return OracleResult(value=value, policies=tuple(trees), policy_count=n)
 
 
-def simulate_type(spec: GameSpec, policy: CoordinatorPolicy, type_index: int) -> TypeTrajectory:
-    """Deterministic playout of one type under a coordinator policy."""
-    if type_index not in policy.weights:
-        raise ValueError(f"type {type_index} has no prior weight in this game")
-    theta = as_fraction(spec.types[type_index])
-    q = as_fraction(spec.transmission_cost)
-    state = policy.root
-    nodes = [state.node]
-    machine_actions: list[str] = []
-    signals: list[str] = []
-    effective_moves: list[str] = []
+def playout(spec: GameSpec, policy, type_index: int) -> TypeTrajectory:
+    """The deterministic route of one rider type under a policy, with its exact moments.
+
+    The policy may be a :class:`CoordinatorPolicy`, a :class:`PolicyTree`, a
+    :class:`PlannerResult` (its route ridden silently, then STOP) or a
+    :class:`RealizedPlan`. From ``spec.start_node`` on, each period takes
+    the (signal, machine action) the policy supplies, moves by the
+    effective action and sums the edge moments, until the effective action
+    is STOP, which adds the terminal's moments; the fee is added to the
+    mean once per override. Every evaluation in the package walks a route
+    here and nowhere else.
+    """
+    moves = _moves(policy, type_index)
+    node, period = spec.start_node, 1
+    nodes, machine_actions, signals, effective_moves = [node], [], [], []
     edges: list[Edge] = []
     override_periods: list[int] = []
-    mean = Fraction(0)
-    var = Fraction(0)
+    mean = var = Fraction(0)
     while True:
-        presc = policy.decision.get(state)
-        if presc is None:
-            raise ValueError(f"policy undefined at reached state {state}")
-        a = presc.human_map[type_index]
-        override = a != SILENT
-        effective = a if override else presc.machine
-        machine_actions.append(presc.machine)
-        signals.append(a)
+        signal, a_m = next(moves)
+        effective = a_m if signal == SILENT else signal
+        machine_actions.append(a_m)
+        signals.append(signal)
         effective_moves.append(effective)
-        if override:
-            override_periods.append(state.period)
+        if signal != SILENT:
+            override_periods.append(period)
         if effective == STOP:
-            term = spec.terminals[state.node]
-            mean += term.exact_mean
-            var += term.exact_variance
-            stop_period = state.period
-            terminal = state.node
             break
-        edge = spec.out_edges[state.node][effective]
+        edge = spec.out_edges[node][effective]
         edges.append(edge)
         mean += edge.cost.exact_mean
         var += edge.cost.exact_variance
-        nxt = policy.transitions.get((state, a))
-        if nxt is None:
-            raise ValueError(f"policy transition missing at {state} for signal {a!r}")
-        state = nxt
-        nodes.append(state.node)
-    overrides = len(override_periods)
-    mean += q * overrides
+        node, period = edge.dst, period + 1
+        nodes.append(node)
+    term = spec.terminals[node]
+    mean += term.exact_mean + as_fraction(spec.transmission_cost) * len(override_periods)
+    var += term.exact_variance
     return TypeTrajectory(
         type_index=type_index,
         nodes=tuple(nodes),
@@ -717,14 +648,82 @@ def simulate_type(spec: GameSpec, policy: CoordinatorPolicy, type_index: int) ->
         signals=tuple(signals),
         effective=tuple(effective_moves),
         edges=tuple(edges),
-        overrides=overrides,
+        overrides=len(override_periods),
         override_periods=tuple(override_periods),
-        terminal=terminal,
-        stop_period=stop_period,
+        terminal=node,
+        stop_period=period,
         mean=mean,
         variance=var,
-        criterion=mean + theta * var,
+        criterion=mean + as_fraction(spec.types[type_index]) * var,
     )
+
+
+def _moves(policy, type_index: int):
+    """An iterator of the (signal, machine action) pairs a policy supplies to one type."""
+    if isinstance(policy, CoordinatorPolicy):
+        if type_index not in policy.weights:
+            raise ValueError(f"type {type_index} has no prior weight in this game")
+        return _state_moves(policy, type_index)
+    if isinstance(policy, PolicyTree):
+        return _tree_moves(policy, type_index)
+    if isinstance(policy, PlannerResult):
+        return iter([(SILENT, e.direction) for e in policy.path] + [(SILENT, STOP)])
+    if isinstance(policy, RealizedPlan):
+        return zip(policy.signals, policy.machine_actions)
+    raise TypeError(f"unsupported policy object {type(policy).__name__}")
+
+
+def _state_moves(policy: CoordinatorPolicy, type_index: int):
+    state = policy.root
+    while True:
+        presc = policy.decision.get(state)
+        if presc is None:
+            raise ValueError(f"policy undefined at reached state {state}")
+        signal = presc.human_map[type_index]
+        yield signal, presc.machine
+        nxt = policy.transitions.get((state, signal))
+        if nxt is None:
+            raise ValueError(f"policy transition missing at {state} for signal {signal!r}")
+        state = nxt
+
+
+def _tree_moves(tree: PolicyTree, type_index: int):
+    while True:
+        signal = tree.prescription.human_map[type_index]
+        yield signal, tree.prescription.machine
+        tree = tree.child(signal)
+
+
+def aggregate(aggregator: Aggregator, weights: dict, per_type: dict[int, Fraction]) -> Fraction:
+    """The machine's value of per-type criteria: their expectation or CVaR under ``weights``."""
+    if aggregator.kind == "expectation":
+        return sum((weights[i] * c for i, c in per_type.items()), start=Fraction(0))
+    if aggregator.kind == "cvar":
+        outcome = EmpiricalOutcome.of((c, weights[i]) for i, c in per_type.items())
+        return cvar_aggregate(outcome, aggregator.alpha)
+    raise UnsupportedAggregatorError(f"unknown aggregator {aggregator.kind!r}")
+
+
+def simulate_type(spec: GameSpec, policy: CoordinatorPolicy, type_index: int) -> TypeTrajectory:
+    """Deterministic playout of one type under a coordinator policy."""
+    return playout(spec, policy, type_index)
+
+
+def tree_playout(spec: GameSpec, tree: PolicyTree, type_index: int):
+    """(edges, signals, override periods, terminal) of one type under a tree."""
+    route = playout(spec, tree, type_index)
+    return route.edges, route.signals, route.override_periods, route.terminal
+
+
+def evaluate_policy_tree(spec: GameSpec, tree: PolicyTree) -> tuple[Fraction, dict[int, Fraction]]:
+    """Aggregate value and per-type criteria of an explicit decision tree.
+
+    Each positive-prior type's criterion comes from its forward
+    :func:`playout`, whole-route moments rather than the oracle's
+    per-subtree cost vectors, so the two price a tree independently.
+    """
+    per_type = {i: playout(spec, tree, i).criterion for i in spec.positive_support()}
+    return aggregate(spec.machine_aggregator, spec.exact_prior(), per_type), per_type
 
 
 @dataclass(frozen=True)
@@ -1013,7 +1012,7 @@ def verify_equilibrium(
     for i in sorted(policy.weights):
         name = f"human_ic[type {i}]"
         try:
-            eq_value = simulate_type(spec, policy, i).criterion
+            eq_value = playout(spec, policy, i).criterion
         except (KeyError, ValueError) as exc:
             per_type.append(
                 CheckResult(name, False, f"equilibrium playout undefined for type {i}: {exc}")

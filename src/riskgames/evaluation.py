@@ -1,8 +1,10 @@
 """Policy evaluation and the regret benchmark.
 
-Exact evaluation sums edge moments along each type's realized route (plus
-the deterministic signalling fees); Monte Carlo evaluation samples edge
-costs and exists as a statistical cross-check. Regret is a policy's
+Every evaluation reads one type's realized route from
+:func:`coordinator_solver.playout`, whatever the policy kind: exact
+evaluation takes its edge and terminal moments (plus the deterministic
+signalling fees), and Monte Carlo evaluation samples the same route's edge
+costs as a statistical cross-check. Regret is a policy's
 prior-weighted criterion minus the best-case benchmark, and the prior
 sweep reproduces the regret-versus-prior study on a grid of priors.
 """
@@ -17,24 +19,14 @@ from typing import Sequence
 import numpy as np
 
 from .baseline_planners import (
-    PlannerResult,
-    RealizedPlan,
     baseline_policy,
     best_case_value,
     neutral_override_plan,
     risk_adjusted_shortest_path,
 )
-from .coordinator_solver import CoordinatorPolicy, simulate_type, solve_dp
+from .coordinator_solver import aggregate, playout, solve_dp
 from .errors import UnsupportedAggregatorError
-from .game_model import (
-    Edge,
-    GameSpec,
-    PublicHistory,
-    Trajectory,
-    as_fraction,
-    with_prior,
-)
-from .risk_measures import EmpiricalOutcome, cvar_aggregate
+from .game_model import GameSpec, PublicHistory, Trajectory, as_float, as_fraction, with_prior
 
 DEFAULT_SWEEP_GRID = tuple(i / 20 for i in range(21))
 
@@ -71,49 +63,11 @@ class RegretRow:
                 raise ValueError(f"{name} is negative ({getattr(self, name)}); benchmark broken")
 
 
-@dataclass(frozen=True)
-class _Playout:
-    """Period-by-period record of one type's realized play."""
-
-    edges: tuple[Edge, ...]
-    terminal: str
-    signals: tuple[str, ...]
-    machine_actions: tuple[str, ...]
-    override_periods: tuple[int, ...]
-
-    @property
-    def overrides(self) -> int:
-        return len(self.override_periods)
-
-
-def _playout(spec: GameSpec, policy, type_index: int) -> _Playout:
-    """Normalize any supported policy kind into a playout for one type."""
-    if isinstance(policy, CoordinatorPolicy):
-        sim = simulate_type(spec, policy, type_index)
-        return _Playout(sim.edges, sim.terminal, sim.signals, sim.machine_actions,
-                        sim.override_periods)
-    if isinstance(policy, PlannerResult):
-        terminal = policy.path[-1].dst if policy.path else spec.start_node
-        moves = tuple(e.direction for e in policy.path) + ("STOP",)
-        silent = ("SILENT",) * len(moves)
-        return _Playout(policy.path, terminal, silent, moves, ())
-    if isinstance(policy, RealizedPlan):
-        return _Playout(policy.path, policy.terminal, policy.signals,
-                        policy.machine_actions, policy.override_periods)
-    raise TypeError(f"unsupported policy object {type(policy).__name__}")
-
-
 def evaluate_policy_exact(spec: GameSpec, policy, type_index: int) -> PerTypeOutcome:
     """Exact per-type moments: edge sums plus fee times overrides in the mean."""
-    play = _playout(spec, policy, type_index)
-    mean = sum((e.cost.exact_mean for e in play.edges), start=Fraction(0))
-    var = sum((e.cost.exact_variance for e in play.edges), start=Fraction(0))
-    term = spec.terminals[play.terminal]
-    mean += term.exact_mean + as_fraction(spec.transmission_cost) * play.overrides
-    var += term.exact_variance
-    theta = as_fraction(spec.types[type_index])
+    route = playout(spec, policy, type_index)
     return PerTypeOutcome(
-        mean=mean, variance=var, overrides=play.overrides, criterion=mean + theta * var
+        mean=route.mean, variance=route.variance, overrides=route.overrides, criterion=route.criterion
     )
 
 
@@ -121,14 +75,7 @@ def evaluate_policy(spec: GameSpec, policy, aggregator=None) -> PolicyEvaluation
     """Evaluate a policy for every positive-prior type and aggregate."""
     agg = aggregator if aggregator is not None else spec.machine_aggregator
     per_type = {i: evaluate_policy_exact(spec, policy, i) for i in spec.positive_support()}
-    weights = spec.exact_prior()
-    if agg.kind == "expectation":
-        weighted = sum((weights[i] * o.criterion for i, o in per_type.items()), start=Fraction(0))
-    elif agg.kind == "cvar":
-        outcome = EmpiricalOutcome.of((o.criterion, weights[i]) for i, o in per_type.items())
-        weighted = cvar_aggregate(outcome, agg.alpha)
-    else:
-        raise UnsupportedAggregatorError(f"unknown aggregator {agg.kind!r}")
+    weighted = aggregate(agg, spec.exact_prior(), {i: o.criterion for i, o in per_type.items()})
     return PolicyEvaluation(per_type=per_type, weighted_criterion=weighted)
 
 
@@ -143,24 +90,19 @@ def sample_trajectory(spec: GameSpec, policy, type_index: int, rng: np.random.Ge
     Signalling fees are charged inside the period they were paid, so the
     total is exactly the sum of the per-step costs plus the terminal cost.
     """
-    play = _playout(spec, policy, type_index)
-    steps = []
+    play = playout(spec, policy, type_index)
     costs = []
-    node = spec.start_node
     for period, e in enumerate(play.edges, start=1):
         draw = float(rng.normal(e.cost.mean, math.sqrt(e.cost.variance)))
         if period in play.override_periods:
             draw += spec.transmission_cost
         costs.append(draw)
-        steps.append((node, play.signals[period - 1], play.machine_actions[period - 1]))
-        node = e.dst
-    stop_period = len(play.edges) + 1
     term = spec.terminals[play.terminal]
     terminal_cost = float(rng.normal(term.mean, math.sqrt(term.variance)))
-    if stop_period in play.override_periods:
+    if play.stop_period in play.override_periods:
         terminal_cost += spec.transmission_cost
-    steps.append((node, play.signals[-1], play.machine_actions[-1]))
-    history = PublicHistory(steps=tuple(steps), current=play.terminal)
+    steps = tuple(zip(play.nodes, play.signals, play.machine_actions))
+    history = PublicHistory(steps=steps, current=play.terminal)
     return Trajectory(
         history=history,
         step_costs=tuple(costs),
@@ -182,7 +124,7 @@ def monte_carlo_evaluate(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    play = _playout(spec, policy, type_index)
+    play = playout(spec, policy, type_index)
     rng = np.random.default_rng(seed)
     term = spec.terminals[play.terminal]
     means = np.array([e.cost.mean for e in play.edges] + [term.mean], dtype=float)
@@ -244,10 +186,10 @@ def prior_sweep(
         rows.append(
             RegretRow(
                 sweep_value=float(p),
-                regret_hm=float(hm - bcp),
-                regret_ma=float(ma - bcp),
-                regret_mn=float(mn - bcp),
-                bcp=float(bcp),
+                regret_hm=as_float(hm - bcp),
+                regret_ma=as_float(ma - bcp),
+                regret_mn=as_float(mn - bcp),
+                bcp=as_float(bcp),
             )
         )
     return rows

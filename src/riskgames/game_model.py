@@ -52,6 +52,14 @@ def as_fraction(x: Number) -> Fraction:
     return Fraction(x)
 
 
+def as_float(x: Number) -> float:
+    """``float(x)``, or an infinity of x's sign where x lies beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def theta_of(theta) -> Fraction:
     """Coerce a risk-aversion coefficient (bare number or RiskParameter) to Fraction."""
     return as_fraction(getattr(theta, "theta", theta))

@@ -354,3 +354,23 @@ def test_cli_aggregator_flag_is_validated(capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert err == "error: ScenarioError: cvar aggregator needs alpha in [0, 1), got 1.5\n"
+
+
+def test_cli_route_that_stops_at_the_start_names_the_start(tmp_path, capsys):
+    # a terminal at the start node, free to stop at: every planner's route is empty
+    data = scenario_to_dict(load_scenario("graph_a"))
+    data["terminals"]["1"] = {"mean": 0, "var": 0}
+    path = tmp_path / "start_terminal.json"
+    path.write_text(json.dumps(data))
+    assert main(["--scenario", str(path), "baselines"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "neutral: route 1 STOP | type 0: 0, type 1: 0 | weighted 0 | regret 0" in lines
+    assert "average: route 1 STOP | type 0: 0, type 1: 0 | weighted 0 | regret 0" in lines
+    assert main(["--scenario", str(path), "paths"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "optimal@0.01: 1 STOP criterion 0" in lines
+    assert "optimal@0.05: 1 STOP criterion 0" in lines
+    assert main(["--scenario", str(path), "solve"]) == 0
+    assert "type 0 (theta=0.01): route 1 STOP | overrides: none | criterion 0" in (
+        capsys.readouterr().out.splitlines()
+    )

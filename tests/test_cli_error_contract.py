@@ -1,0 +1,94 @@
+"""The command line's error contract under malformed scenario files.
+
+Whatever a scenario file holds, ``riskgames`` either succeeds or exits 1
+with exactly one stderr line ``error: <Name>Error: <message>``; it never
+lets an exception escape. The scenarios here are the bundled ``graph_a``
+with some of its values swapped for JSON of the wrong type or for
+out-of-range numbers.
+"""
+
+import copy
+import json
+import re
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from riskgames.cli_bench import load_scenario, main, scenario_to_dict
+
+BASE = scenario_to_dict(load_scenario("graph_a"))
+
+COMMANDS = (["solve"], ["verify"], ["baselines"], ["paths"], ["sweep", "--grid", "2"])
+
+ERROR_LINE = re.compile(r"error: [A-Za-z]+Error: .*\n")
+
+# JSON values of every kind; the huge ones overflow a float, or a float sum
+HUGE_FLOATS = st.sampled_from([1e308, -1e308, 1.7976931348623157e308])
+VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 9), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+    st.integers(-(10**6), -1),
+    st.floats(max_value=-1e-9, allow_nan=False, allow_infinity=False),
+    HUGE_FLOATS,
+)
+WITH_HUGE_INTS = st.one_of(VALUES, st.sampled_from([10**400, -(10**400)]))
+
+# (where, value): a top-level key, or one field of an edge or a terminal. The
+# horizon gets no huge integer: that is a valid horizon, and the solver and
+# the baseline planners step through every period of it (ROADMAP item 5).
+MUTATIONS = st.one_of(
+    st.tuples(st.tuples(st.sampled_from(sorted(set(BASE) - {"horizon"}))), WITH_HUGE_INTS),
+    st.tuples(st.just(("horizon",)), VALUES),
+    st.tuples(
+        st.tuples(
+            st.just("edges"),
+            st.integers(0, len(BASE["edges"]) - 1),
+            st.sampled_from(["from", "to", "dir", "mean", "var"]),
+        ),
+        WITH_HUGE_INTS,
+    ),
+    st.tuples(
+        st.tuples(
+            st.just("terminals"), st.sampled_from(sorted(BASE["terminals"])), st.sampled_from(["mean", "var"])
+        ),
+        WITH_HUGE_INTS,
+    ),
+)
+
+
+def _mutated(mutations) -> dict:
+    data = copy.deepcopy(BASE)
+    # fields first, so that replacing a whole top-level value comes last
+    for place, value in sorted(mutations, key=lambda m: -len(m[0])):
+        target = data
+        for key in place[:-1]:
+            target = target[key]
+        target[place[-1]] = value
+    return data
+
+
+@settings(
+    max_examples=60,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(mutations=st.lists(MUTATIONS, min_size=1, max_size=3))
+# exact criteria beyond the float range print as -inf
+@example(mutations=[(("edges", 0, "mean"), -1e308), (("edges", 1, "mean"), -1e308)])
+# an integer too large for a float is not a finite number
+@example(mutations=[(("q_h",), 10**400)])
+@example(mutations=[(("terminals", "8", "var"), 10**400)])
+def test_cli_never_raises_on_a_mutated_scenario(mutations, tmp_path, capsys):
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(_mutated(mutations)))
+    for argv in COMMANDS:
+        rc = main(["--scenario", str(path), *argv])
+        err = capsys.readouterr().err
+        if rc == 0:
+            assert err == "", (argv, mutations)
+        else:
+            assert rc == 1 and ERROR_LINE.fullmatch(err), (argv, mutations, err)

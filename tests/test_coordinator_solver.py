@@ -7,7 +7,12 @@ import pytest
 from conftest import make_diamond
 from instance_gen import oracle_sized_game, random_game
 from riskgames import EXPECTATION, Aggregator
-from riskgames.baseline_planners import average_theta, best_case_value, risk_adjusted_shortest_path
+from riskgames.baseline_planners import (
+    RealizedPlan,
+    average_theta,
+    best_case_value,
+    risk_adjusted_shortest_path,
+)
 from riskgames.coordinator_solver import (
     BeliefState,
     CoordinatorPolicy,
@@ -17,6 +22,8 @@ from riskgames.coordinator_solver import (
     _Oracle,
     brute_force_oracle,
     count_deterministic_policies,
+    evaluate_policy_tree,
+    playout,
     simulate_type,
     solve_dp,
     verify_equilibrium,
@@ -147,10 +154,10 @@ def test_dp_equals_reference_induction_with_tie_break(family):
 
 
 def reference_oracle(spec):
-    """Every tree in _Oracle's canonical order, each priced by the forward walk.
+    """Every tree in _Oracle's canonical order, each priced by evaluate_policy_tree.
 
-    ``_Oracle.evaluate`` is the walk behind evaluate_policy_tree; one engine
-    serves every tree of the instance.
+    evaluate_policy_tree prices a tree by each type's forward playout over
+    the whole route, not from the subtree cost vectors the oracle sums.
     """
     oracle = _Oracle(spec)
 
@@ -164,7 +171,7 @@ def reference_oracle(spec):
     best, minimizers, count = None, [], 0
     for tree in trees(BeliefState(spec.start_node, oracle.support0, 1)):
         count += 1
-        value, _ = oracle.evaluate(tree)
+        value, _ = evaluate_policy_tree(spec, tree)
         if best is None or value < best:
             best, minimizers = value, []
         if value == best:
@@ -184,6 +191,40 @@ def test_oracle_equals_reference_oracle_on_graph_a_cvar(graph_a):
     result = brute_force_oracle(spec)
     assert (result.value, len(result.policies), result.policy_count) == (40, 168, 32256)
     assert result == reference_oracle(spec)
+
+
+def unrolled(policy, state=None) -> PolicyTree:
+    """The solved policy from ``state`` (the root by default) as the equivalent tree."""
+    state = policy.root if state is None else state
+    presc = policy.decision[state]
+    children = []
+    for signal in dict.fromkeys(signal for _, signal in presc.human):
+        child = policy.transitions[(state, signal)]
+        children.append((signal, None if child is None else unrolled(policy, child)))
+    return PolicyTree(presc, tuple(children))
+
+
+def test_playout_agrees_across_policy_kinds(graph_a, graph_b, diamond):
+    for spec in (graph_a, graph_b, diamond, *map(oracle_sized_game, range(50))):
+        policy = solve_dp(spec)
+        tree = unrolled(policy)
+        per_type = {}
+        for i in sorted(policy.weights):
+            route = playout(spec, policy, i)
+            assert playout(spec, tree, i) == route
+            per_type[i] = route.criterion
+        assert evaluate_policy_tree(spec, tree) == (policy.value[policy.root], per_type)
+        # a planned route is the plan its riders realize by staying silent
+        plan = risk_adjusted_shortest_path(spec, spec.types[-1])
+        ridden = RealizedPlan(
+            path=plan.path,
+            terminal=plan.path[-1].dst if plan.path else spec.start_node,
+            signals=(SILENT,) * (len(plan.path) + 1),
+            machine_actions=tuple(e.direction for e in plan.path) + (STOP,),
+            override_periods=(),
+        )
+        for i in range(len(spec.types)):
+            assert playout(spec, plan, i) == playout(spec, ridden, i)
 
 
 def test_oracle_k1_equals_shortest_path(diamond):
