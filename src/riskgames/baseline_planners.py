@@ -194,14 +194,14 @@ def risk_adjusted_shortest_path(spec: GameSpec, theta) -> PlannerResult:
         edge = spec.out_edges[node][action[r][node]]
         path.append(edge)
         node, r = edge.dst, r - 1
-    per_type = {i: path_criterion(spec, path, 0, th) for i, th in enumerate(spec.types)}
+    per_type = {i: path_criterion(spec, path, 0, th) for i, th in enumerate(spec.exact_types)}
     return PlannerResult(path=tuple(path), per_type_criterion=per_type, planner_theta=t)
 
 
 def average_theta(spec: GameSpec) -> Fraction:
     """Prior-weighted mean risk-aversion coefficient."""
     return sum(
-        (as_fraction(w) * as_fraction(th) for w, th in zip(spec.prior, spec.types)),
+        (as_fraction(w) * th for w, th in zip(spec.prior, spec.exact_types)),
         start=Fraction(0),
     )
 
@@ -217,7 +217,7 @@ def best_case_value(spec: GameSpec) -> Fraction:
         wf = as_fraction(w)
         if wf == 0:
             continue
-        plan = risk_adjusted_shortest_path(spec, spec.types[i])
+        plan = risk_adjusted_shortest_path(spec, spec.exact_types[i])
         total += wf * plan.per_type_criterion[i]
     return total
 
@@ -247,7 +247,7 @@ def neutral_override_plan(spec: GameSpec, type_index: int) -> RealizedPlan:
     """
     machine = _induct(spec, Fraction(0))
     respond = _induct(
-        spec, as_fraction(spec.types[type_index]), as_fraction(spec.transmission_cost), machine
+        spec, spec.exact_types[type_index], spec.exact_transmission_cost, machine
     )
     node, r = spec.start_node, spec.horizon_T
     if node not in respond[-1]:

@@ -16,11 +16,13 @@ group's stage-plus-continuation cost depends only on its signal and member
 set. The search runs on integers, every weighted stage cost and fee
 scaled by one common denominator, and the tie-break below rides in the
 low digits of those integers. The brute-force oracle
-(:func:`brute_force_oracle`) still enumerates every policy tree, also
-over period layers: each tree's per-type costs, integers over one common
-denominator, are summed from its subtrees' costs, and the aggregator
-prices each distinct cost vector at the root once. The equilibrium
-verifier's best responses run on an explicit stack.
+(:func:`brute_force_oracle`), the solve path for CVaR, counts every policy
+tree over period layers but builds only the optimal ones. A tree's
+per-type costs, integers over one common denominator, are its stage costs
+plus its subtrees' costs, and the aggregator depends on nothing else. So
+each state keeps its distinct per-type cost vectors, each with the number
+of trees reaching it, and the aggregator prices each distinct root vector
+once. The equilibrium verifier's best responses run on an explicit stack.
 
 Every forward evaluation of a policy, of any kind, is one walk:
 :func:`playout` follows one rider type's route from the start node and
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,7 +64,6 @@ from .game_model import (
     Aggregator,
     Edge,
     GameSpec,
-    as_fraction,
     validate_spec,
 )
 from .risk_measures import EmpiricalOutcome, cvar_aggregate
@@ -157,8 +159,8 @@ class _Engine:
     def __init__(self, spec: GameSpec):
         self.spec = spec
         self.T = spec.horizon_T
-        self.q = as_fraction(spec.transmission_cost)
-        self.thetas = {i: as_fraction(th) for i, th in enumerate(spec.types)}
+        self.q = spec.exact_transmission_cost
+        self.thetas = dict(enumerate(spec.exact_types))
         self.weights = spec.exact_prior()
         self.support0 = tuple(sorted(self.weights))
         self.dist = spec.steps_to_terminal
@@ -440,11 +442,15 @@ def solve_dp(spec: GameSpec) -> CoordinatorPolicy:
 
 
 class _Oracle(_Engine):
-    """Every deterministic coordinator policy as a decision tree, in canonical order.
+    """Deterministic coordinator policies as decision trees, in canonical order.
 
     A state's trees come prescription by prescription, in the order of
     :meth:`prescriptions`, and within one prescription as the product of
-    its children's trees, the first child varying slowest.
+    its children's trees, the first child varying slowest. So a tree's
+    place in that order is the order of its key: (prescription index,
+    child keys...), with ``()`` for a group that stops. Trees are counted
+    (:meth:`count`) and priced by their cost vectors (:meth:`minimize`);
+    only optimal ones are ever built.
     """
 
     def __init__(self, spec: GameSpec):
@@ -511,59 +517,109 @@ class _Oracle(_Engine):
         """The least aggregate value and every tree reaching it, in canonical order.
 
         A tree's cost vector holds each type's criterion, in integers over
-        one common scale: its prescription's stage costs (fee on override)
-        plus, per signal group, the vector of the subtree the group follows.
-        Each period's subtrees and vectors are built from the next period's,
-        from the last period back, and the aggregator prices each distinct
-        root vector once. The root's trees are not kept: one is built only
-        when its value ties or beats the best so far.
+        one common scale: its prescription's own stage costs (fee on
+        override) plus, per live signal group, the vector of the subtree
+        the group follows. From the last period back, each state's table
+        holds the distinct vectors its trees reach: per prescription, the
+        own vector plus the Minkowski sum of the live children's tables.
+        The groups' supports are disjoint, so a prescription's vector
+        splits into its children's vectors in one way only: each child's
+        is the vector's entries on that child's support. How many trees
+        reach a vector is not kept; :meth:`count` gives their total, which
+        the guard needs before this search starts.
+
+        The aggregator prices each distinct root vector once. The optimal
+        vectors are then split into the (state, vector) pairs they need,
+        from the first period on, and only those pairs' trees are built,
+        from the last period back, each next to its key. Sorting the root's
+        trees by key gives the canonical order.
         """
         scale, fee, stage = self.scaled_stages(dict.fromkeys(self.support0, 1))
-        agg = self.spec.machine_aggregator
         position = {i: k for k, i in enumerate(self.support0)}
-        stopped = ((None, (0,) * len(self.support0)),)
+        width = len(self.support0)
+        owns: dict[BeliefState, list[tuple[int, ...]]] = {}
+        tables: dict[BeliefState, set[tuple[int, ...]]] = {}
+        for layer in reversed(layers):
+            for state in layer:
+                owns[state], table = [], set()
+                for presc, children in self.prescriptions(state):
+                    own = [0] * width
+                    for i, signal in presc.human:
+                        k = position[i]
+                        if signal == SILENT:
+                            own[k] = stage[(state.node, presc.machine)][k]
+                        else:
+                            own[k] = stage[(state.node, signal)][k] + fee[k]
+                    own = tuple(own)
+                    owns[state].append(own)
+                    sums = {own}
+                    for _, child in children:
+                        if child is not None:
+                            sums = {tuple(map(operator.add, v, w)) for v in sums for w in tables[child]}
+                    table |= sums
+                tables[state] = table
 
-        def priced(state: BeliefState, later: dict):
-            """(prescription, signals, chosen (subtree, vector) per child, vector) per tree."""
-            for presc, children in self.prescriptions(state):
-                own = [0] * len(self.support0)
-                for i, signal in presc.human:
-                    k = position[i]
-                    if signal == SILENT:
-                        own[k] = stage[(state.node, presc.machine)][k]
-                    else:
-                        own[k] = stage[(state.node, signal)][k] + fee[k]
-                signals = [signal for signal, _ in children]
-                options = [stopped if child is None else later[child] for _, child in children]
-                for chosen in itertools.product(*options):
-                    yield presc, signals, chosen, tuple(map(sum, zip(own, *(v for _, v in chosen))))
+        root = layers[0][0]
+        prices = {
+            v: aggregate(
+                self.spec.machine_aggregator,
+                self.weights,
+                {i: Fraction(c, scale) for i, c in zip(self.support0, v)},
+            )
+            for v in tables[root]
+        }
+        best_value = min(prices.values())
 
-        later: dict[BeliefState, tuple] = {}
-        for layer in reversed(layers[1:]):
-            later = {
-                state: tuple(
-                    (_tree(presc, signals, chosen), vector)
-                    for presc, signals, chosen, vector in priced(state, later)
-                )
-                for state in layer
-            }
-        prices: dict[tuple[int, ...], Fraction] = {}
-        best_value, best_trees = None, []
-        for presc, signals, chosen, vector in priced(layers[0][0], later):
-            value = prices.get(vector)
-            if value is None:
-                per_type = {i: Fraction(c, scale) for i, c in zip(self.support0, vector)}
-                value = prices[vector] = aggregate(agg, self.weights, per_type)
-            if best_value is None or value < best_value:
-                best_value, best_trees = value, []
-            if value == best_value:
-                best_trees.append(_tree(presc, signals, chosen))
-        return best_value, best_trees
-
-
-def _tree(presc: Prescription, signals: list[str], chosen) -> PolicyTree:
-    """The tree of a prescription whose children are the chosen (subtree, vector) pairs."""
-    return PolicyTree(presc, tuple(zip(signals, [tree for tree, _ in chosen])))
+        # which prescriptions, and which child vectors, give each needed vector
+        needed = {root: {v for v, value in prices.items() if value == best_value}}
+        splits: dict[tuple[BeliefState, tuple[int, ...]], list] = {}
+        for layer in layers:
+            for state in layer:
+                for vector in needed.get(state, ()):
+                    splits[(state, vector)] = found = []
+                    for index, (presc, children) in enumerate(self.prescriptions(state)):
+                        rest = list(map(operator.sub, vector, owns[state][index]))
+                        parts = []
+                        for signal, child in children:
+                            if child is None:
+                                parts.append((signal, None, None))
+                                continue
+                            part = [0] * width
+                            for i in child.support:
+                                k = position[i]
+                                part[k], rest[k] = rest[k], 0
+                            part = tuple(part)
+                            if part not in tables[child]:
+                                break
+                            parts.append((signal, child, part))
+                        else:
+                            if not any(rest):  # STOP groups add nothing
+                                found.append((index, presc, parts))
+                                for _, child, part in parts:
+                                    if child is not None:
+                                        needed.setdefault(child, set()).add(part)
+        built: dict[tuple[BeliefState, tuple[int, ...]], list[tuple[tuple, PolicyTree]]] = {}
+        for layer in reversed(layers):
+            for state in layer:
+                for vector in needed.get(state, ()):
+                    built[(state, vector)] = trees = []
+                    for index, presc, parts in splits[(state, vector)]:
+                        signals = [signal for signal, _, _ in parts]
+                        options = [
+                            [((), None)] if child is None else built[(child, part)]
+                            for _, child, part in parts
+                        ]
+                        for chosen in itertools.product(*options):
+                            trees.append(
+                                (
+                                    (index, *(key for key, _ in chosen)),
+                                    PolicyTree(presc, tuple(zip(signals, [t for _, t in chosen]))),
+                                )
+                            )
+        optimal = sorted(
+            (pair for v in needed[root] for pair in built[(root, v)]), key=operator.itemgetter(0)
+        )
+        return best_value, [tree for _, tree in optimal]
 
 
 def count_deterministic_policies(spec: GameSpec) -> int:
@@ -573,16 +629,24 @@ def count_deterministic_policies(spec: GameSpec) -> int:
 
 
 def brute_force_oracle(spec: GameSpec, guard: int = DEFAULT_POLICY_GUARD) -> OracleResult:
-    """Exhaustively enumerate coordinator policies and keep every minimizer.
+    """Every coordinator policy that minimizes the aggregate, as if by exhaustive search.
 
     Ground truth for :func:`solve_dp`, and the solve path for CVaR
     aggregation (which does not decompose across belief splits). The
     policies are counted period by period from the horizon back, and
-    ``guard`` is checked against that count before any tree is built. Every
-    tree is then priced from its subtrees' per-type cost vectors, on
-    integers, so the work grows with the number of trees enumerated while
-    the aggregator runs once per distinct root vector. The optimal trees
-    come in the canonical order of the enumeration.
+    ``guard`` is checked against that count M before any work that grows
+    with it. Any aggregator is a function of the per-type criteria alone,
+    so the search runs over each state's distinct per-type cost vectors
+    rather than over its trees (see :meth:`_Oracle.minimize`), and the
+    aggregator runs once per distinct root vector. The optimal trees come
+    in the canonical order of an enumeration, and no other tree is built.
+
+    The guard also bounds that search. Every state in the layers has at
+    least one tree and lies on some root tree, so its tree count is at most
+    M. A state's distinct vectors, and every partial Minkowski sum of a
+    prescription, number at most its trees. So no table holds more than M
+    entries, a state costs at most K·M vector additions for K types, and
+    wall time needs no bound besides ``guard``.
     """
     problems = validate_spec(spec)
     if problems:
@@ -639,7 +703,7 @@ def playout(spec: GameSpec, policy, type_index: int) -> TypeTrajectory:
         node, period = edge.dst, period + 1
         nodes.append(node)
     term = spec.terminals[node]
-    mean += term.exact_mean + as_fraction(spec.transmission_cost) * len(override_periods)
+    mean += term.exact_mean + spec.exact_transmission_cost * len(override_periods)
     var += term.exact_variance
     return TypeTrajectory(
         type_index=type_index,
@@ -654,7 +718,7 @@ def playout(spec: GameSpec, policy, type_index: int) -> TypeTrajectory:
         stop_period=period,
         mean=mean,
         variance=var,
-        criterion=mean + as_fraction(spec.types[type_index]) * var,
+        criterion=mean + spec.exact_types[type_index] * var,
     )
 
 

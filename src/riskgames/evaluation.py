@@ -14,9 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .baseline_planners import (
     baseline_policy,
@@ -27,6 +25,9 @@ from .baseline_planners import (
 from .coordinator_solver import aggregate, playout, solve_dp
 from .errors import UnsupportedAggregatorError
 from .game_model import GameSpec, PublicHistory, Trajectory, as_float, as_fraction, with_prior
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SWEEP_GRID = tuple(i / 20 for i in range(21))
 
@@ -122,6 +123,8 @@ def monte_carlo_evaluate(
     Reproducible for a fixed seed; variance is reported as 0.0 when a
     single sample leaves it undefined.
     """
+    import numpy as np  # imported here so that importing the package stays light
+
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     play = playout(spec, policy, type_index)
@@ -165,7 +168,9 @@ def prior_sweep(
         raise UnsupportedAggregatorError("prior sweeps run under the expectation aggregator")
     points = DEFAULT_SWEEP_GRID if grid is None else tuple(grid)
     types = range(len(spec.types))
-    best_case = {i: risk_adjusted_shortest_path(spec, spec.types[i]).per_type_criterion[i] for i in types}
+    best_case = {
+        i: risk_adjusted_shortest_path(spec, spec.exact_types[i]).per_type_criterion[i] for i in types
+    }
     if neutral_with_overrides:
         neutral_plans = {i: neutral_override_plan(spec, i) for i in types}
     else:

@@ -158,6 +158,16 @@ class GameSpec:
         return table
 
     @cached_property
+    def exact_transmission_cost(self) -> Fraction:
+        """The signalling fee as an exact rational (see :func:`as_fraction`)."""
+        return as_fraction(self.transmission_cost)
+
+    @cached_property
+    def exact_types(self) -> tuple[Fraction, ...]:
+        """Each type's risk parameter as an exact rational, in type order."""
+        return tuple(as_fraction(th) for th in self.types)
+
+    @cached_property
     def steps_to_terminal(self) -> dict[str, int]:
         """Minimum number of moves from each node to some terminal (BFS)."""
         dist = {n: math.inf for n in self.nodes}
@@ -280,7 +290,7 @@ def path_criterion(spec: GameSpec, path: Sequence[Edge], overrides: int, theta) 
     mean = sum((e.cost.exact_mean for e in path), start=Fraction(0))
     var = sum((e.cost.exact_variance for e in path), start=Fraction(0))
     term = spec.terminals[end]
-    mean += term.exact_mean + as_fraction(spec.transmission_cost) * overrides
+    mean += term.exact_mean + spec.exact_transmission_cost * overrides
     var += term.exact_variance
     return mean + t * var
 

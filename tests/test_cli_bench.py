@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -374,3 +378,15 @@ def test_cli_route_that_stops_at_the_start_names_the_start(tmp_path, capsys):
     assert "type 0 (theta=0.01): route 1 STOP | overrides: none | criterion 0" in (
         capsys.readouterr().out.splitlines()
     )
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # only the Monte Carlo evaluator needs numpy, and every command pays for an import
+    src = str(Path(cli_bench.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    probe = "import sys, riskgames.cli_bench; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n"

@@ -179,7 +179,11 @@ def reference_oracle(spec):
     return OracleResult(value=best, policies=tuple(minimizers), policy_count=count)
 
 
-@pytest.mark.parametrize("aggregator", [EXPECTATION, Aggregator.cvar(0.5)], ids=["mean", "cvar"])
+@pytest.mark.parametrize(
+    "aggregator",
+    [EXPECTATION, Aggregator.cvar(0.5), Aggregator.cvar(0), Aggregator.cvar(0.9)],
+    ids=["mean", "cvar", "cvar0", "cvar0.9"],
+)
 def test_oracle_equals_reference_oracle(aggregator):
     for seed in range(50):
         spec = replace(oracle_sized_game(seed), machine_aggregator=aggregator)

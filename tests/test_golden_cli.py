@@ -27,7 +27,11 @@ CASES = [
     (f"{scenario}_{name}", ["--scenario", scenario, *argv])
     for scenario in ("graph_a", "graph_b")
     for name, argv in COMMANDS.items()
-] + [("graph_a_cvar_solve", ["--scenario", "graph_a", "--aggregator", "cvar:0.5", "solve"])]
+] + [
+    ("graph_a_cvar_solve", ["--scenario", "graph_a", "--aggregator", "cvar:0.5", "solve"]),
+    ("graph_a_cvar09_solve", ["--scenario", "graph_a", "--aggregator", "cvar:0.9", "solve"]),
+    ("graph_b_cvar_solve", ["--scenario", "graph_b", "--aggregator", "cvar:0.5", "solve"]),
+]
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
