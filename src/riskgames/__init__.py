@@ -21,6 +21,7 @@ from .baseline_planners import (
     best_case_value,
     enumerate_paths_oracle,
     neutral_override_plan,
+    neutral_override_plans,
     risk_adjusted_shortest_path,
 )
 from .belief_filter import Belief, bayes_update, likelihood_update, reachable_supports

@@ -57,10 +57,6 @@ class PlannerResult:
     per_type_criterion: dict[int, Fraction]
     planner_theta: Fraction
 
-    @property
-    def terminal(self) -> str:
-        return self.path[-1].dst if self.path else None
-
 
 @dataclass(frozen=True)
 class RealizedPlan:
@@ -245,7 +241,17 @@ def neutral_override_plan(spec: GameSpec, type_index: int) -> RealizedPlan:
     pay the transmission fee to redirect; this optimizes the rider's own
     mean-plus-weighted-variance cost-to-go.
     """
+    return _override_plan(spec, _induct(spec, Fraction(0)), type_index)
+
+
+def neutral_override_plans(spec: GameSpec, types) -> dict[int, RealizedPlan]:
+    """:func:`neutral_override_plan` for each of ``types``, the machine's table built once."""
     machine = _induct(spec, Fraction(0))
+    return {i: _override_plan(spec, machine, i) for i in types}
+
+
+def _override_plan(spec: GameSpec, machine: list[dict[str, str]], type_index: int) -> RealizedPlan:
+    """One type's best response to the machine action table ``machine``."""
     respond = _induct(
         spec, spec.exact_types[type_index], spec.exact_transmission_cost, machine
     )

@@ -39,7 +39,7 @@ from .baseline_planners import (
     baseline_policy,
     best_case_value,
     enumerate_paths_oracle,
-    neutral_override_plan,
+    neutral_override_plans,
     risk_adjusted_shortest_path,
 )
 from .coordinator_solver import brute_force_oracle, playout, solve_dp, verify_equilibrium
@@ -322,8 +322,8 @@ def _cmd_baselines(sc: ScenarioFile, args) -> int:
     for mode in ("neutral", "average"):
         if mode == "neutral" and args.neutral_with_overrides:
             per_type = {
-                i: evaluation.evaluate_policy_exact(spec, neutral_override_plan(spec, i), i)
-                for i in spec.positive_support()
+                i: evaluation.evaluate_policy_exact(spec, plan, i)
+                for i, plan in neutral_override_plans(spec, spec.positive_support()).items()
             }
             weights = spec.exact_prior()
             weighted = sum(weights[i] * o.criterion for i, o in per_type.items())

@@ -20,9 +20,9 @@ low digits of those integers. The brute-force oracle
 tree over period layers but builds only the optimal ones. A tree's
 per-type costs, integers over one common denominator, are its stage costs
 plus its subtrees' costs, and the aggregator depends on nothing else. So
-each state keeps its distinct per-type cost vectors, each with the number
-of trees reaching it, and the aggregator prices each distinct root vector
-once. The equilibrium verifier's best responses run on an explicit stack.
+each state keeps only its distinct per-type cost vectors, and each
+distinct root vector is priced once, as an integer dot product. The
+equilibrium verifier's best responses run on an explicit stack.
 
 Every forward evaluation of a policy, of any kind, is one walk:
 :func:`playout` follows one rider type's route from the start node and
@@ -64,9 +64,10 @@ from .game_model import (
     Aggregator,
     Edge,
     GameSpec,
+    as_fraction,
     validate_spec,
 )
-from .risk_measures import EmpiricalOutcome, cvar_aggregate
+from .risk_measures import EmpiricalOutcome, cvar_aggregate, cvar_pricer
 
 _HUMAN_RANK = {a: i for i, a in enumerate(HUMAN_ACTIONS)}
 
@@ -528,11 +529,12 @@ class _Oracle(_Engine):
         reach a vector is not kept; :meth:`count` gives their total, which
         the guard needs before this search starts.
 
-        The aggregator prices each distinct root vector once. The optimal
-        vectors are then split into the (state, vector) pairs they need,
-        from the first period on, and only those pairs' trees are built,
-        from the last period back, each next to its key. Sorting the root's
-        trees by key gives the canonical order.
+        Each distinct root vector is priced once, as an integer dot product
+        (:func:`_integer_pricer`), and only the least price becomes a
+        ``Fraction``. The optimal vectors are then split into the (state,
+        vector) pairs they need, from the first period on, and only those
+        pairs' trees are built, from the last period back, each next to its
+        key. Sorting the root's trees by key gives the canonical order.
         """
         scale, fee, stage = self.scaled_stages(dict.fromkeys(self.support0, 1))
         position = {i: k for k, i in enumerate(self.support0)}
@@ -560,18 +562,14 @@ class _Oracle(_Engine):
                 tables[state] = table
 
         root = layers[0][0]
-        prices = {
-            v: aggregate(
-                self.spec.machine_aggregator,
-                self.weights,
-                {i: Fraction(c, scale) for i, c in zip(self.support0, v)},
-            )
-            for v in tables[root]
-        }
-        best_value = min(prices.values())
+        price, denominator = _integer_pricer(
+            self.spec.machine_aggregator, [self.weights[i] for i in self.support0]
+        )
+        prices = {v: price(v) for v in tables[root]}
+        best = min(prices.values())
 
         # which prescriptions, and which child vectors, give each needed vector
-        needed = {root: {v for v, value in prices.items() if value == best_value}}
+        needed = {root: {v for v, p in prices.items() if p == best}}
         splits: dict[tuple[BeliefState, tuple[int, ...]], list] = {}
         for layer in layers:
             for state in layer:
@@ -619,7 +617,7 @@ class _Oracle(_Engine):
         optimal = sorted(
             (pair for v in needed[root] for pair in built[(root, v)]), key=operator.itemgetter(0)
         )
-        return best_value, [tree for _, tree in optimal]
+        return Fraction(best, scale * denominator), [tree for _, tree in optimal]
 
 
 def count_deterministic_policies(spec: GameSpec) -> int:
@@ -637,9 +635,11 @@ def brute_force_oracle(spec: GameSpec, guard: int = DEFAULT_POLICY_GUARD) -> Ora
     ``guard`` is checked against that count M before any work that grows
     with it. Any aggregator is a function of the per-type criteria alone,
     so the search runs over each state's distinct per-type cost vectors
-    rather than over its trees (see :meth:`_Oracle.minimize`), and the
-    aggregator runs once per distinct root vector. The optimal trees come
-    in the canonical order of an enumeration, and no other tree is built.
+    rather than over its trees (see :meth:`_Oracle.minimize`), and each
+    distinct root vector is priced once, exactly, as an integer dot product
+    with the prior weights or, under CVaR, with the types' shares of the
+    tail. The optimal trees come in the canonical order of an enumeration,
+    and no other tree is built.
 
     The guard also bounds that search. Every state in the layers has at
     least one tree and lies on some root tree, so its tree count is at most
@@ -766,6 +766,16 @@ def aggregate(aggregator: Aggregator, weights: dict, per_type: dict[int, Fractio
         outcome = EmpiricalOutcome.of((c, weights[i]) for i, c in per_type.items())
         return cvar_aggregate(outcome, aggregator.alpha)
     raise UnsupportedAggregatorError(f"unknown aggregator {aggregator.kind!r}")
+
+
+def _integer_pricer(aggregator: Aggregator, weights: list[Fraction]):
+    """(price, denominator): for integer costs ``v`` over a scale, entry k
+    weighted by ``weights[k]``, :func:`aggregate` is ``price(v) / (scale * denominator)``."""
+    if aggregator.kind == "cvar":
+        return cvar_pricer(weights, as_fraction(aggregator.alpha))
+    denominator = math.lcm(*(w.denominator for w in weights))
+    coefficients = [w.numerator * (denominator // w.denominator) for w in weights]
+    return (lambda v: sum(map(operator.mul, v, coefficients))), denominator
 
 
 def simulate_type(spec: GameSpec, policy: CoordinatorPolicy, type_index: int) -> TypeTrajectory:

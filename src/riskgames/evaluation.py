@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Sequence
 from .baseline_planners import (
     baseline_policy,
     best_case_value,
-    neutral_override_plan,
+    neutral_override_plans,
     risk_adjusted_shortest_path,
 )
 from .coordinator_solver import aggregate, playout, solve_dp
@@ -172,7 +172,7 @@ def prior_sweep(
         i: risk_adjusted_shortest_path(spec, spec.exact_types[i]).per_type_criterion[i] for i in types
     }
     if neutral_with_overrides:
-        neutral_plans = {i: neutral_override_plan(spec, i) for i in types}
+        neutral_plans = neutral_override_plans(spec, types)
     else:
         neutral_plans = dict.fromkeys(types, baseline_policy(spec, "neutral"))
     neutral = {i: evaluate_policy_exact(spec, plan, i).criterion for i, plan in neutral_plans.items()}

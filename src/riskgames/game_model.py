@@ -205,8 +205,13 @@ class GameSpec:
     def positive_support(self) -> tuple[int, ...]:
         return tuple(i for i, w in enumerate(self.prior) if w > 0)
 
-    def exact_prior(self) -> dict[int, Fraction]:
+    @cached_property
+    def _exact_prior(self) -> dict[int, Fraction]:
         return {i: as_fraction(w) for i, w in enumerate(self.prior) if w > 0}
+
+    def exact_prior(self) -> dict[int, Fraction]:
+        """Positive-prior weights as exact rationals, parsed once; a fresh dict per call."""
+        return dict(self._exact_prior)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ invariance, convexity) on caller-supplied trial pairs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -119,17 +120,49 @@ def cvar_aggregate(outcomes: EmpiricalOutcome, alpha: Number) -> Fraction:
         key=lambda p: p[0],
         reverse=True,
     )
-    total = sum((w for _, w in pts), start=Fraction(0))
-    tail = (1 - a) * total
+    takes, tail = _cvar_tail([w for _, w in pts], a)
+    return sum((v * take for (v, _), take in zip(pts, takes)), start=Fraction(0)) / tail
+
+
+def _cvar_tail(weights: Sequence[Fraction], alpha: Fraction) -> tuple[list[Fraction], Fraction]:
+    """Each atom's take of the worst (1 - alpha) mass, atoms worst first, and that mass."""
+    tail = (1 - alpha) * sum(weights, start=Fraction(0))
     remaining = tail
-    acc = Fraction(0)
-    for v, w in pts:
+    takes = []
+    for w in weights:
         take = w if w < remaining else remaining
-        acc += v * take
+        takes.append(take)
         remaining -= take
-        if remaining == 0:
-            break
-    return acc / tail
+    return takes, tail
+
+
+def cvar_pricer(weights: Sequence[Fraction], alpha: Fraction):
+    """(price, denominator): exact CVaR of integer losses as an integer dot product.
+
+    For integer losses ``v`` over a scale, entry k of weight ``weights[k]``,
+    ``price(v) / (scale * denominator)`` equals :func:`cvar_aggregate`. An
+    entry's coefficient is its take of the tail over the tail mass, which
+    the entries' worst-first order alone fixes, so coefficients are computed
+    once per order. Equal entries may sort either way: the tail they share,
+    and so the price, is the same.
+    """
+    _, tail = _cvar_tail(weights, alpha)
+    lcm = math.lcm(tail.denominator, *(w.denominator for w in weights))
+    by_order: dict[tuple[int, ...], list[int]] = {}
+    width = range(len(weights))
+
+    def price(v: Sequence[int]) -> int:
+        order = tuple(sorted(width, key=v.__getitem__, reverse=True))
+        coefficients = by_order.get(order)
+        if coefficients is None:
+            takes, _ = _cvar_tail([weights[k] for k in order], alpha)
+            coefficients = [0] * len(weights)
+            for k, take in zip(order, takes):
+                coefficients[k] = take.numerator * (lcm // take.denominator)
+            by_order[order] = coefficients
+        return sum(map(operator.mul, v, coefficients))
+
+    return price, tail.numerator * (lcm // tail.denominator)
 
 
 def disutility_criterion(

@@ -13,6 +13,7 @@ from riskgames.baseline_planners import (
     best_case_value,
     enumerate_paths_oracle,
     neutral_override_plan,
+    neutral_override_plans,
     risk_adjusted_shortest_path,
 )
 from riskgames.errors import EnumerationGuardError, UnreachableTerminalError
@@ -86,7 +87,7 @@ def test_planner_zero_theta_minimizes_mean(graph_a, graph_b):
         plan = risk_adjusted_shortest_path(spec, 0)
         best_mean = min(ps.mean for ps in enumerate_paths_oracle(spec))
         got = sum((e.cost.exact_mean for e in plan.path), start=Fraction(0))
-        got += spec.terminals[plan.terminal].exact_mean
+        got += spec.terminals[plan.path[-1].dst if plan.path else spec.start_node].exact_mean
         assert got == best_mean
 
 
@@ -213,6 +214,26 @@ def test_neutral_override_plan_keeps_fee_worthwhile(graph_a):
     cautious = neutral_override_plan(pricey, 1)
     assert cautious.overrides == 0
     assert [e.direction for e in cautious.path] == ["E", "E", "S", "E", "N"]
+
+
+def test_neutral_override_plans_build_one_machine_table(graph_b, monkeypatch):
+    from riskgames import baseline_planners, evaluation
+
+    machines, real = [], baseline_planners._induct
+
+    def counted(spec, theta, fee=Fraction(0), machine=None):
+        if machine is not None:
+            machines.append(machine)  # kept alive, so identities stay distinct
+        return real(spec, theta, fee, machine)
+
+    monkeypatch.setattr(baseline_planners, "_induct", counted)
+    types = range(len(graph_b.types))
+    plans = neutral_override_plans(graph_b, types)
+    assert plans == {i: neutral_override_plan(graph_b, i) for i in types}
+    machines.clear()
+    evaluation.prior_sweep(graph_b, 0, (0.0, 0.5, 1.0), neutral_with_overrides=True)
+    assert len(machines) == len(types)
+    assert all(m is machines[0] for m in machines)
 
 
 def _seeded_lattice(seed: int, side: int = 16, horizon: int = 28) -> GameSpec:

@@ -3,6 +3,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_diamond
 from instance_gen import oracle_sized_game, random_game
@@ -19,7 +21,9 @@ from riskgames.coordinator_solver import (
     OracleResult,
     PolicyTree,
     Prescription,
+    _integer_pricer,
     _Oracle,
+    aggregate,
     brute_force_oracle,
     count_deterministic_policies,
     evaluate_policy_tree,
@@ -195,6 +199,75 @@ def test_oracle_equals_reference_oracle_on_graph_a_cvar(graph_a):
     result = brute_force_oracle(spec)
     assert (result.value, len(result.policies), result.policy_count) == (40, 168, 32256)
     assert result == reference_oracle(spec)
+
+
+def _k3_games(first: int = 10):
+    """The first seeds' instances with three or four types and 24 to 3,000 policies."""
+    found, seed = [], 0
+    while len(found) < first:
+        spec = random_game(seed, max_nodes=5, k_types=4, max_extra_edges=2, max_slack=1, max_horizon=5)
+        if len(spec.types) >= 3 and 24 <= count_deterministic_policies(spec) <= 3000:
+            found.append((seed, spec))
+        seed += 1
+    return found
+
+
+@pytest.mark.parametrize(
+    "aggregator",
+    [EXPECTATION, Aggregator.cvar(0), Aggregator.cvar(0.5), Aggregator.cvar(0.9)],
+    ids=["mean", "cvar0", "cvar", "cvar0.9"],
+)
+def test_oracle_equals_reference_oracle_with_three_or_four_types(aggregator):
+    # with K >= 3 the root vectors sort in many worst-first orders, not two
+    for seed, spec in _k3_games():
+        spec = replace(spec, machine_aggregator=aggregator)
+        assert brute_force_oracle(spec) == reference_oracle(spec), seed
+
+
+def test_oracle_prices_without_cvar_aggregate(graph_a, monkeypatch):
+    import riskgames.coordinator_solver as solver
+    import riskgames.risk_measures as risk
+
+    calls, real = [], risk.cvar_aggregate
+
+    def counted(outcome, alpha):
+        calls.append(alpha)
+        return real(outcome, alpha)
+
+    monkeypatch.setattr(risk, "cvar_aggregate", counted)
+    monkeypatch.setattr(solver, "cvar_aggregate", counted)
+    spec = replace(graph_a, machine_aggregator=Aggregator.cvar(0.5))
+    assert brute_force_oracle(spec).value == 40
+    assert calls == []
+    evaluate_policy_tree(spec, brute_force_oracle(spec).policies[0])
+    assert calls == [0.5]  # the counter does see the aggregator's own calls
+
+
+AWKWARD_WEIGHTS = st.sampled_from(
+    [Fraction(1, 3), Fraction(1, 7), Fraction(2, 7), Fraction(1, 2), Fraction(3, 10), Fraction(1, 20), Fraction(1)]
+) | st.fractions(min_value=Fraction(1, 60), max_value=1, max_denominator=60)
+ALPHAS = st.sampled_from([0, 0.5, 0.9]) | st.integers(0, 99).map(lambda n: n / 100) | st.integers(
+    0, 999
+).map(lambda n: n / 1000)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data(), weights=st.lists(AWKWARD_WEIGHTS, min_size=1, max_size=6))
+def test_integer_pricer_equals_aggregate(data, weights):
+    aggregator = data.draw(st.just(EXPECTATION) | ALPHAS.map(Aggregator.cvar))
+    scale = data.draw(st.integers(1, 60))
+    width = len(weights)
+    price, denominator = _integer_pricer(aggregator, weights)
+    vectors = data.draw(
+        st.lists(st.lists(st.integers(-6, 6) | st.integers(-10**6, 10**6), min_size=width, max_size=width),
+                 min_size=1, max_size=8)
+    )
+    for v in vectors:
+        # force a tie between two entries
+        j, k = data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, width - 1))
+        v[j] = v[k]
+        expected = aggregate(aggregator, dict(enumerate(weights)), {i: Fraction(c, scale) for i, c in enumerate(v)})
+        assert Fraction(price(tuple(v)), scale * denominator) == expected
 
 
 def unrolled(policy, state=None) -> PolicyTree:

@@ -220,6 +220,17 @@ def test_validated_spec_is_frozen():
     assert spec.horizon_T == 3 and spec.machine_aggregator == EXPECTATION
 
 
+def test_exact_prior_is_parsed_once_and_copied(graph_a):
+    first = graph_a.exact_prior()
+    assert first == {0: Fraction(1, 2), 1: Fraction(1, 2)}
+    assert graph_a.exact_prior() is not first
+    first[0] = Fraction(7)
+    del first[1]
+    assert graph_a.exact_prior() == {0: Fraction(1, 2), 1: Fraction(1, 2)}
+    assert "_exact_prior" in vars(graph_a)
+    assert with_prior(graph_a, (0.25, 0.75)).exact_prior() == {0: Fraction(1, 4), 1: Fraction(3, 4)}
+
+
 def _spec_fields(spec):
     return {k: getattr(spec, k) for k in (
         "nodes", "edges", "terminals", "start_node", "horizon_T",
