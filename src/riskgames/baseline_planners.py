@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import EnumerationGuardError, UnreachableTerminalError
 from .game_model import (
@@ -244,7 +245,7 @@ def neutral_override_plan(spec: GameSpec, type_index: int) -> RealizedPlan:
     return _override_plan(spec, _induct(spec, Fraction(0)), type_index)
 
 
-def neutral_override_plans(spec: GameSpec, types) -> dict[int, RealizedPlan]:
+def neutral_override_plans(spec: GameSpec, types: Iterable[int]) -> dict[int, RealizedPlan]:
     """:func:`neutral_override_plan` for each of ``types``, the machine's table built once."""
     machine = _induct(spec, Fraction(0))
     return {i: _override_plan(spec, machine, i) for i in types}

@@ -149,10 +149,10 @@ def cvar_pricer(weights: Sequence[Fraction], alpha: Fraction):
     _, tail = _cvar_tail(weights, alpha)
     lcm = math.lcm(tail.denominator, *(w.denominator for w in weights))
     by_order: dict[tuple[int, ...], list[int]] = {}
-    width = range(len(weights))
+    indices = range(len(weights))
 
     def price(v: Sequence[int]) -> int:
-        order = tuple(sorted(width, key=v.__getitem__, reverse=True))
+        order = tuple(sorted(indices, key=v.__getitem__, reverse=True))
         coefficients = by_order.get(order)
         if coefficients is None:
             takes, _ = _cvar_tail([weights[k] for k in order], alpha)
