@@ -129,6 +129,11 @@ def _induct(spec: GameSpec, theta: Fraction, fee: Fraction = Fraction(0), machin
     option weighs mean + theta * variance, plus ``fee`` on a move; given a
     ``machine`` table, a SILENT option that rides ``machine[r][node]`` free
     of the fee comes first.
+
+    It stops once the value table at r equals the one at r - 1 and
+    ``machine`` has no later table, as every later table would repeat the
+    last: read ``action[min(r, len(action) - 1)]``. On an acyclic graph this
+    comes within |V| rounds of the machine table's last, whatever the horizon.
     """
     costs = [e.cost for e in spec.edges] + list(spec.terminals.values())
     scale = math.lcm(
@@ -151,7 +156,7 @@ def _induct(spec: GameSpec, theta: Fraction, fee: Fraction = Fraction(0), machin
     for r in range(1, spec.horizon_T + 1):
         now: dict[str, int] = {}
         acts: dict[str, str] = {}
-        ride = machine[r] if machine is not None else {}
+        ride = machine[min(r, len(machine) - 1)] if machine is not None else {}
         for node, out in moves.items():
             best = act = None
             default = ride.get(node)
@@ -168,6 +173,8 @@ def _induct(spec: GameSpec, theta: Fraction, fee: Fraction = Fraction(0), machin
             if act is not None:
                 now[node], acts[node] = best, act
         action.append(acts)
+        if now == later and (machine is None or r >= len(machine) - 1):
+            break
         later = now
     return action
 
@@ -187,8 +194,8 @@ def risk_adjusted_shortest_path(spec: GameSpec, theta) -> PlannerResult:
             f"no terminal reachable from {spec.start_node!r} within {spec.horizon_T - 1} moves"
         )
     path: list[Edge] = []
-    while action[r][node] != STOP:
-        edge = spec.out_edges[node][action[r][node]]
+    while (act := action[min(r, len(action) - 1)][node]) != STOP:
+        edge = spec.out_edges[node][act]
         path.append(edge)
         node, r = edge.dst, r - 1
     per_type = {i: path_criterion(spec, path, 0, th) for i, th in enumerate(spec.exact_types)}
@@ -266,7 +273,7 @@ def _override_plan(spec: GameSpec, machine: list[dict[str, str]], type_index: in
     machine_moves: list[str] = []
     override_periods: list[int] = []
     while True:
-        act, default = respond[r][node], machine[r][node]
+        act, default = respond[min(r, len(respond) - 1)][node], machine[min(r, len(machine) - 1)][node]
         signals.append(act)
         machine_moves.append(default)
         if act != SILENT:

@@ -155,31 +155,31 @@ class TypeTrajectory:
 
 
 class _Engine:
-    """Shared exact-cost tables for the solver, oracle and verifier."""
+    """Shared exact-cost tables for the solver, oracle and verifier: type i's
+    stage cost m + θ_i·v of effective move ``e`` at ``node`` (STOP included)
+    is ``costs[(node, e)][i] / denominator``, and the fee ``charge / denominator``."""
 
     def __init__(self, spec: GameSpec):
         self.spec = spec
         self.T = spec.horizon_T
-        self.q = spec.exact_transmission_cost
-        self.thetas = dict(enumerate(spec.exact_types))
         self.weights = spec.exact_prior()
         self.support0 = tuple(sorted(self.weights))
         self.dist = spec.steps_to_terminal
-        self.edge_dst: dict[tuple[str, str], str] = {}
-        self.move_cost: dict[tuple[str, str, int], Fraction] = {}
-        self.stop_cost: dict[tuple[str, int], Fraction] = {}
-        for node, out in spec.out_edges.items():
-            for direction, edge in out.items():
-                self.edge_dst[(node, direction)] = edge.dst
-                m, v = edge.cost.exact_mean, edge.cost.exact_variance
-                for i, th in self.thetas.items():
-                    self.move_cost[(node, direction, i)] = m + th * v
-        for node, cost in spec.terminals.items():
-            m, v = cost.exact_mean, cost.exact_variance
-            for i, th in self.thetas.items():
-                self.stop_cost[(node, i)] = m + th * v
+        self.edge_dst = {(node, d): e.dst for node, out in spec.out_edges.items() for d, e in out.items()}
+        moments = {(node, d): e.cost for node, out in spec.out_edges.items() for d, e in out.items()}
+        moments.update(((node, STOP), cost) for node, cost in spec.terminals.items())
+        q, thetas = spec.exact_transmission_cost, spec.exact_types
+        d = math.lcm(q.denominator, *(x.denominator for c in moments.values()
+                                      for x in (c.exact_mean, c.exact_variance)))
+        b = math.lcm(*(th.denominator for th in thetas))
+        self.denominator, self.charge = d * b, q.numerator * (d // q.denominator) * b
+        factors = [th.numerator * (b // th.denominator) for th in thetas]
+        self.costs: dict[tuple[str, str], list[int]] = {}
+        for key, c in moments.items():
+            m = c.exact_mean.numerator * (d // c.exact_mean.denominator)
+            v = c.exact_variance.numerator * (d // c.exact_variance.denominator)
+            self.costs[key] = [m * b + f * v for f in factors]
         self._machine_acts: dict[str, tuple[str, ...]] = {}
-        self._human_acts: dict[str, tuple[str, ...]] = {}
 
     def machine_actions(self, node: str) -> tuple[str, ...]:
         acts = self._machine_acts.get(node)
@@ -188,25 +188,14 @@ class _Engine:
             self._machine_acts[node] = acts
         return acts
 
-    def human_actions(self, node: str) -> tuple[str, ...]:
-        acts = self._human_acts.get(node)
-        if acts is None:
-            acts = self.spec.human_moves(node)
-            self._human_acts[node] = acts
-        return acts
-
     def feasible(self, node: str, period: int) -> bool:
         # needs dist moves plus one STOP period inside the horizon
         return self.dist[node] <= self.T - period
 
     def type_stage(self, i: int, node: str, effective: str, override: bool) -> Fraction:
         """One type's exact stage contribution (fee included on override)."""
-        base = (
-            self.stop_cost[(node, i)]
-            if effective == STOP
-            else self.move_cost[(node, effective, i)]
-        )
-        return (base + self.q) if override else base
+        cost = self.costs[(node, effective)][i]
+        return Fraction(cost + self.charge if override else cost, self.denominator)
 
     def groups_of(self, support: tuple[int, ...], human_map) -> list[tuple[str, tuple[int, ...]]]:
         """Partition a support by prescribed signal, deterministic order."""
@@ -218,22 +207,16 @@ class _Engine:
     def scaled_stages(self, weights: dict[int, Fraction | int]):
         """(scale, fee, stage): weighted fees and stage costs as integers over one denominator.
 
-        For the k-th type of the prior's support, ``fee[k] / scale`` is its
+        For the k-th type of ``sorted(weights)``, ``fee[k] / scale`` is its
         weight times the fee, and ``stage[(node, e)][k] / scale`` its weight
         times its stage cost of effective move ``e`` at ``node``.
         """
-        fee = [weights[i] * self.q for i in self.support0]
-        stage = {
-            (node, e): [weights[i] * self.type_stage(i, node, e, False) for i in self.support0]
-            for node in self.spec.nodes
-            for e in self.machine_actions(node)
-        }
-        scale = math.lcm(*(f.denominator for row in (fee, *stage.values()) for f in row))
-
-        def scaled(row: list[Fraction]) -> list[int]:
-            return [f.numerator * (scale // f.denominator) for f in row]
-
-        return scale, scaled(fee), {key: scaled(row) for key, row in stage.items()}
+        types = sorted(weights)
+        lcm = math.lcm(*(weights[i].denominator for i in types))
+        factors = [(i, weights[i].numerator * (lcm // weights[i].denominator)) for i in types]
+        fee = [f * self.charge for _, f in factors]
+        stage = {key: [f * row[i] for i, f in factors] for key, row in self.costs.items()}
+        return self.denominator * lcm, fee, stage
 
 
 class _IntegerSolver(_Engine):
@@ -286,12 +269,12 @@ class _IntegerSolver(_Engine):
         )
 
     def _layers(self) -> list[dict[tuple[str, int], BeliefState]]:
-        """The states of each period, index 1 to T (index 0 is empty).
+        """The states of each period, index 1 to T or to the last nonempty layer.
 
         The successors of a state are every nonempty subset of its support
         after every move whose destination can still finish in time: each
         of them is a group's child under some feasible prescription, which
-        is the set an exhaustive search visits.
+        is the set an exhaustive search visits. So no layer follows an empty one.
         """
         root = BeliefState(self.spec.start_node, self.support0, 1)
         layers = [{}, {(root.node, (1 << len(root.support)) - 1): root}]
@@ -305,6 +288,8 @@ class _IntegerSolver(_Engine):
                     for sub in self._subsets(mask)[1][1:]:
                         if (dst, sub) not in nxt:
                             nxt[(dst, sub)] = BeliefState(dst, self._subsets(sub)[0], t + 1)
+            if not nxt:
+                break
             layers.append(nxt)
         return layers
 
@@ -466,7 +451,7 @@ class _Oracle(_Engine):
         node, support, t = state.node, state.support, state.period
         out = []
         if t <= self.T and self.feasible(node, t):
-            human_acts = self.human_actions(node)
+            human_acts = (SILENT,) + self.machine_actions(node)
             for a_m in self.machine_actions(node):
                 for combo in itertools.product(human_acts, repeat=len(support)):
                     groups: dict[str, list[int]] = {}
@@ -865,9 +850,12 @@ def _machine_best_response(engine: _Engine, policy: CoordinatorPolicy, budget: _
     At every reachable state the riders keep signalling per the policy's
     slice there (their rule depends on the public state, not on the
     machine's action), so the machine's unilateral deviations form a
-    one-agent problem over the same belief states.
+    one-agent problem over the same belief states. Values are the policy's
+    weighted stage costs as integers; only the root's best becomes a ``Fraction``.
     """
-    memo: dict[BeliefState, tuple[Fraction, str] | None] = {}
+    scale, fee, stage = engine.scaled_stages(policy.weights)
+    position = {i: k for k, i in enumerate(sorted(policy.weights))}
+    memo: dict[BeliefState, tuple[int, str] | None] = {}
 
     def best(state: BeliefState):
         memo[state] = None  # states outside the solved envelope read as dead ends
@@ -878,13 +866,15 @@ def _machine_best_response(engine: _Engine, policy: CoordinatorPolicy, budget: _
         best_entry = None
         for a_m in engine.machine_actions(state.node):
             budget.tick()
-            total = Fraction(0)
+            total = 0
             workable = True
             for signal, members in groups:
                 override = signal != SILENT
                 effective = signal if override else a_m
+                row = stage[(state.node, effective)]
                 for i in members:
-                    total += policy.weights[i] * engine.type_stage(i, state.node, effective, override)
+                    k = position[i]
+                    total += row[k] + fee[k] if override else row[k]
                 if effective != STOP:
                     child = BeliefState(
                         engine.edge_dst[(state.node, effective)], members, state.period + 1
@@ -925,7 +915,7 @@ def _machine_best_response(engine: _Engine, policy: CoordinatorPolicy, budget: _
                     BeliefState(engine.edge_dst[(state.node, effective)], members, state.period + 1)
                 )
     detail = "; ".join(f"period {p} at node {n!r}: play {a}" for p, n, a in moves)
-    return root_entry[0], detail
+    return Fraction(root_entry[0], scale), detail
 
 
 def _human_best_response(
@@ -939,7 +929,6 @@ def _human_best_response(
     or riding silent where silence is prescribed). Off-path observations
     are outside the filter's domain and are not searched.
     """
-    theta = engine.thetas[type_index]
     memo: dict[BeliefState, tuple[Fraction, str] | None] = {}
 
     def best(state: BeliefState):

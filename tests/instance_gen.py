@@ -105,3 +105,31 @@ def oracle_sized_game(seed: int, min_policies: int = 24, max_policies: int = 300
         if min_policies <= count_deterministic_policies(spec) <= max_policies:
             return spec
         attempt += 1
+
+
+def seeded_lattice(seed: int, side: int = 16, horizon: int = 28) -> GameSpec:
+    """A side x side N/S/E/W lattice from one corner to three rewarded corners,
+    with integer edge means and a few variances drawn from the seed."""
+    rng = random.Random(seed)
+    last = side - 1
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            for direction, dr, dc in (("N", -1, 0), ("S", 1, 0), ("E", 0, 1), ("W", 0, -1)):
+                if 0 <= r + dr <= last and 0 <= c + dc <= last:
+                    cost = CostDistribution(rng.randint(1, 9), rng.choice((0, 1, 2, 4, 8, 16, 40, 100, 150)))
+                    edges.append(Edge(f"r{r}c{c}", f"r{r + dr}c{c + dc}", direction, cost))
+    return GameSpec(
+        nodes=tuple(f"r{r}c{c}" for r in range(side) for c in range(side)),
+        edges=tuple(edges),
+        terminals={
+            f"r0c{last}": CostDistribution(-30, 40),
+            f"r{last}c0": CostDistribution(-30, 10),
+            f"r{last}c{last}": CostDistribution(-30, 0),
+        },
+        start_node="r0c0",
+        horizon_T=horizon,
+        types=(0.01, 0.2),
+        prior=(0.5, 0.5),
+        transmission_cost=0.5,
+    )

@@ -1,11 +1,10 @@
-import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import reference_baselines as reference
-from instance_gen import random_game
+from instance_gen import random_game, seeded_lattice
 from riskgames import CostDistribution, Edge, GameSpec
 from riskgames.baseline_planners import (
     average_theta,
@@ -236,41 +235,13 @@ def test_neutral_override_plans_build_one_machine_table(graph_b, monkeypatch):
     assert all(m is machines[0] for m in machines)
 
 
-def _seeded_lattice(seed: int, side: int = 16, horizon: int = 28) -> GameSpec:
-    """A side x side N/S/E/W lattice from one corner to three rewarded corners,
-    with integer edge means and a few variances drawn from the seed."""
-    rng = random.Random(seed)
-    last = side - 1
-    edges = []
-    for r in range(side):
-        for c in range(side):
-            for direction, dr, dc in (("N", -1, 0), ("S", 1, 0), ("E", 0, 1), ("W", 0, -1)):
-                if 0 <= r + dr <= last and 0 <= c + dc <= last:
-                    cost = CostDistribution(rng.randint(1, 9), rng.choice((0, 1, 2, 4, 8, 16, 40, 100, 150)))
-                    edges.append(Edge(f"r{r}c{c}", f"r{r + dr}c{c + dc}", direction, cost))
-    return GameSpec(
-        nodes=tuple(f"r{r}c{c}" for r in range(side) for c in range(side)),
-        edges=tuple(edges),
-        terminals={
-            f"r0c{last}": CostDistribution(-30, 40),
-            f"r{last}c0": CostDistribution(-30, 10),
-            f"r{last}c{last}": CostDistribution(-30, 0),
-        },
-        start_node="r0c0",
-        horizon_T=horizon,
-        types=(0.01, 0.2),
-        prior=(0.5, 0.5),
-        transmission_cost=0.5,
-    )
-
-
 def test_planners_equal_reference_baselines():
     # integer means, free signals (q_h 0) and theta 0 leave many exact ties,
     # which both sides must break the same way
     specs = [
         random_game(seed, max_nodes=8, k_types=3, max_extra_edges=8, max_slack=4)
         for seed in range(200)
-    ] + [_seeded_lattice(3)]
+    ] + [seeded_lattice(3)]
     for n, spec in enumerate(specs):
         for theta in (0, *spec.types, average_theta(spec)):
             plan = risk_adjusted_shortest_path(spec, theta)

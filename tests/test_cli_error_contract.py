@@ -4,13 +4,15 @@ Whatever a scenario file holds, ``riskgames`` either succeeds or exits 1
 with exactly one stderr line ``error: <Name>Error: <message>``; it never
 lets an exception escape. The scenarios here are the bundled ``graph_a``
 with some of its values swapped for JSON of the wrong type or for
-out-of-range numbers.
+out-of-range numbers, or for a huge but valid horizon, which must print
+what a short one prints.
 """
 
 import copy
 import json
 import re
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -37,8 +39,9 @@ VALUES = st.one_of(
 WITH_HUGE_INTS = st.one_of(VALUES, st.sampled_from([10**400, -(10**400)]))
 
 # (where, value): a top-level key, or one field of an edge or a terminal. The
-# horizon gets no huge integer: that is a valid horizon, and the solver and
-# the baseline planners step through every period of it (ROADMAP item 5).
+# horizon gets no huge integer here: that is a valid horizon, and a mutated
+# edge can close a cycle, whose solve steps through every period of it
+# (ROADMAP item 3). The examples below give the acyclic graph_a huge horizons.
 MUTATIONS = st.one_of(
     st.tuples(st.tuples(st.sampled_from(sorted(set(BASE) - {"horizon"}))), WITH_HUGE_INTS),
     st.tuples(st.just(("horizon",)), VALUES),
@@ -82,6 +85,8 @@ def _mutated(mutations) -> dict:
 # an integer too large for a float is not a finite number
 @example(mutations=[(("q_h",), 10**400)])
 @example(mutations=[(("terminals", "8", "var"), 10**400)])
+# huge horizons: every period loop stops once its tables stop changing
+@example(mutations=[(("horizon",), 10**400)])
 def test_cli_never_raises_on_a_mutated_scenario(mutations, tmp_path, capsys):
     path = tmp_path / "mutated.json"
     path.write_text(json.dumps(_mutated(mutations)))
@@ -92,3 +97,24 @@ def test_cli_never_raises_on_a_mutated_scenario(mutations, tmp_path, capsys):
             assert err == "", (argv, mutations)
         else:
             assert rc == 1 and ERROR_LINE.fullmatch(err), (argv, mutations, err)
+
+
+HUGE_HORIZON_COMMANDS = (
+    *COMMANDS,
+    ["baselines", "--neutral-with-overrides"],
+    ["--aggregator", "cvar:0.5", "solve"],
+)
+
+
+@pytest.mark.parametrize("argv", HUGE_HORIZON_COMMANDS, ids=" ".join)
+def test_huge_horizon_prints_what_horizon_10_prints(argv, tmp_path, capsys):
+    # graph_a is acyclic: no route or belief state outlives its longest path
+    outputs = []
+    for horizon in (10, 10**400):
+        path = tmp_path / "horizon.json"
+        path.write_text(json.dumps({**BASE, "horizon": horizon}))
+        assert main(["--scenario", str(path), *argv]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_diamond
-from instance_gen import oracle_sized_game, random_game
+from instance_gen import oracle_sized_game, random_game, seeded_lattice
 from riskgames import EXPECTATION, Aggregator
 from riskgames.baseline_planners import (
     RealizedPlan,
@@ -21,6 +21,7 @@ from riskgames.coordinator_solver import (
     OracleResult,
     PolicyTree,
     Prescription,
+    _Engine,
     _integer_pricer,
     _Oracle,
     aggregate,
@@ -448,6 +449,75 @@ def test_verify_budget_guard(graph_a):
     with pytest.raises(DeviationBudgetError) as err:
         verify_equilibrium(graph_a, policy, deviation_budget=1)
     assert err.value.budget == 1
+
+
+def _with_worse_machine_action(spec, policy, state, action) -> CoordinatorPolicy:
+    """The policy with the machine playing ``action`` at ``state``, its silent
+    riders following it, and the root value its playouts add up to."""
+    presc = policy.decision[state]
+    silent = tuple(i for i, signal in presc.human if signal == SILENT)
+    child = BeliefState(spec.out_edges[state.node][action].dst, silent, state.period + 1)
+    worse = replace(
+        policy,
+        decision={**policy.decision, state: replace(presc, machine=action)},
+        transitions={**policy.transitions, (state, SILENT): child},
+    )
+    root = sum(w * playout(spec, worse, i).criterion for i, w in policy.weights.items())
+    return replace(worse, value={**policy.value, policy.root: root})
+
+
+@pytest.mark.parametrize(
+    "scenario,state,action,improvement,detail",
+    [
+        (
+            "graph_a",
+            BeliefState("3", (0, 1), 3),
+            "S",
+            Fraction(5),
+            "machine deviation lowers the objective from 169/4 to 149/4: "
+            "period 3 at node '3': play N",
+        ),
+        (
+            "graph_b",
+            BeliefState("3", (0,), 3),
+            "N",
+            Fraction(243333333333333309, 250000000000000000),
+            "machine deviation lowers the objective from 2523333333333333081/125000000000000000 "
+            "to 4803333333333332853/250000000000000000: period 3 at node '3': play E",
+        ),
+    ],
+)
+def test_verify_flags_worse_machine_action(scenario, state, action, improvement, detail, request):
+    spec = request.getfixturevalue(scenario)
+    policy = _with_worse_machine_action(spec, solve_dp(spec), state, action)
+    report = verify_equilibrium(spec, policy)
+    assert not report.machine_ic.passed
+    assert (report.machine_ic.improvement, report.machine_ic.detail) == (improvement, detail)
+
+
+def test_smallest_passing_deviation_budget(graph_b):
+    # the budget counts every (state, action) pair both best responses explore
+    for spec, smallest in ((graph_b, 50), (seeded_lattice(0), 5542)):
+        policy = solve_dp(spec)
+        assert verify_equilibrium(spec, policy, deviation_budget=smallest).all_passed
+        with pytest.raises(DeviationBudgetError):
+            verify_equilibrium(spec, policy, deviation_budget=smallest - 1)
+
+
+def test_integer_stage_tables_equal_exact_moments(graph_a, graph_b):
+    for spec in (graph_a, graph_b, *(random_game(seed) for seed in range(50))):
+        engine, q, weights = _Engine(spec), spec.exact_transmission_cost, spec.exact_prior()
+        scale, fee, stage = engine.scaled_stages(weights)
+        assert [Fraction(f, scale) for f in fee] == [weights[i] * q for i in sorted(weights)]
+        moves = [(node, d, e.cost) for node, out in spec.out_edges.items() for d, e in out.items()]
+        moves += [(node, STOP, cost) for node, cost in spec.terminals.items()]
+        for node, move, cost in moves:
+            want = [cost.exact_mean + theta * cost.exact_variance for theta in spec.exact_types]
+            for i, criterion in enumerate(want):
+                assert engine.type_stage(i, node, move, False) == criterion
+                assert engine.type_stage(i, node, move, True) == criterion + q
+            for k, i in enumerate(sorted(weights)):
+                assert Fraction(stage[(node, move)][k], scale) == weights[i] * want[i]
 
 
 def test_solve_dp_rejects_cvar_aggregator(diamond):
