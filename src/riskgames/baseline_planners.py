@@ -14,7 +14,6 @@ for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -120,36 +119,27 @@ def enumerate_paths_oracle(spec: GameSpec, node_limit: int = PATH_ENUMERATION_NO
     return results
 
 
-def _induct(spec: GameSpec, theta: Fraction, fee: Fraction = Fraction(0), machine=None):
+def _induct(spec: GameSpec, theta: Fraction, fee: bool = False, machine=None):
     """Backward induction over (node, periods left r = 1..T) on scaled integers.
 
     Returns ``action``: ``action[r][node]`` is the first strict minimum of the
     cost-to-go over STOP (at terminals), then the out-edges in canonical
     order, and is missing where no terminal can be reached in time. Every
-    option weighs mean + theta * variance, plus ``fee`` on a move; given a
-    ``machine`` table, a SILENT option that rides ``machine[r][node]`` free
-    of the fee comes first.
+    option weighs mean + theta * variance, plus, with ``fee``, the spec's fee
+    on a move; given a ``machine`` table, a SILENT option that rides
+    ``machine[r][node]`` free of the fee comes first.
 
     It stops once the value table at r equals the one at r - 1 and
     ``machine`` has no later table, as every later table would repeat the
     last: read ``action[min(r, len(action) - 1)]``. On an acyclic graph this
     comes within |V| rounds of the machine table's last, whatever the horizon.
     """
-    costs = [e.cost for e in spec.edges] + list(spec.terminals.values())
-    scale = math.lcm(
-        fee.denominator,
-        *(c.exact_mean.denominator for c in costs),
-        *(c.exact_variance.denominator * theta.denominator for c in costs),
-    )
-
-    def weight(cost) -> int:
-        m, v = cost.exact_mean, cost.exact_variance
-        return (m.numerator * (scale // m.denominator)
-                + theta.numerator * v.numerator * (scale // (v.denominator * theta.denominator)))
-
-    charge = fee.numerator * (scale // fee.denominator)
-    stop = {node: weight(cost) for node, cost in spec.terminals.items()}
-    moves = {node: {d: (e.dst, weight(e.cost)) for d, e in out.items()}
+    # spec.integer_costs over theta's denominator: one common positive scale
+    _, q, moments = spec.integer_costs
+    weight = {key: m * theta.denominator + theta.numerator * v for key, (m, v) in moments.items()}
+    charge = q * theta.denominator if fee else 0
+    stop = {node: weight[(node, STOP)] for node in spec.terminals}
+    moves = {node: {d: (e.dst, weight[(node, d)]) for d, e in out.items()}
              for node, out in spec.out_edges.items()}
     action: list[dict[str, str]] = [{}]
     later: dict[str, int] = {}
@@ -260,9 +250,7 @@ def neutral_override_plans(spec: GameSpec, types: Iterable[int]) -> dict[int, Re
 
 def _override_plan(spec: GameSpec, machine: list[dict[str, str]], type_index: int) -> RealizedPlan:
     """One type's best response to the machine action table ``machine``."""
-    respond = _induct(
-        spec, spec.exact_types[type_index], spec.exact_transmission_cost, machine
-    )
+    respond = _induct(spec, spec.exact_types[type_index], True, machine)
     node, r = spec.start_node, spec.horizon_T
     if node not in respond[-1]:
         raise UnreachableTerminalError(

@@ -2,8 +2,8 @@
 
 Scenario files are flat JSON (schema below); the two reference scenarios
 ship inside the package and can be addressed by name (``graph_a``,
-``graph_b``). All outputs are deterministic: identical scenario, flags and
-seed produce byte-identical CSV.
+``graph_b``). All outputs are deterministic: an identical scenario and
+identical flags produce byte-identical CSV.
 
 Schema::
 
@@ -401,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Risk-sensitive human-machine routing benchmark",
     )
     parser.add_argument("--scenario", required=True, help="scenario file path or bundled name")
-    parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     parser.add_argument(
         "--aggregator",
         default=None,
@@ -449,8 +448,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         sc = load_scenario(args.scenario)
-        if args.seed is not None:
-            sc.seed = args.seed
         if args.aggregator is not None:
             sc.spec = replace(sc.spec, machine_aggregator=_parse_aggregator_flag(args.aggregator))
             problems = validate_spec(sc.spec)

@@ -22,7 +22,8 @@ per-type costs, integers over one common denominator, are its stage costs
 plus its subtrees' costs, and the aggregator depends on nothing else. So
 each state keeps only its distinct per-type cost vectors, and each
 distinct root vector is priced once, as an integer dot product. The
-equilibrium verifier's best responses run on an explicit stack.
+equilibrium verifier runs one budgeted deviation search, on an explicit
+stack, for the machine and for each rider type.
 
 Every forward evaluation of a policy, of any kind, is one walk:
 :func:`playout` follows one rider type's route from the start node and
@@ -72,6 +73,7 @@ from .risk_measures import EmpiricalOutcome, cvar_aggregate, cvar_pricer
 _HUMAN_RANK = {a: i for i, a in enumerate(HUMAN_ACTIONS)}
 
 DEFAULT_POLICY_GUARD = 10_000_000
+STATE_GUARD = 30_000  # belief states a graph with a cycle may project to its horizon
 DEFAULT_DEVIATION_BUDGET = 1_000_000
 
 
@@ -166,19 +168,11 @@ class _Engine:
         self.support0 = tuple(sorted(self.weights))
         self.dist = spec.steps_to_terminal
         self.edge_dst = {(node, d): e.dst for node, out in spec.out_edges.items() for d, e in out.items()}
-        moments = {(node, d): e.cost for node, out in spec.out_edges.items() for d, e in out.items()}
-        moments.update(((node, STOP), cost) for node, cost in spec.terminals.items())
-        q, thetas = spec.exact_transmission_cost, spec.exact_types
-        d = math.lcm(q.denominator, *(x.denominator for c in moments.values()
-                                      for x in (c.exact_mean, c.exact_variance)))
-        b = math.lcm(*(th.denominator for th in thetas))
-        self.denominator, self.charge = d * b, q.numerator * (d // q.denominator) * b
-        factors = [th.numerator * (b // th.denominator) for th in thetas]
-        self.costs: dict[tuple[str, str], list[int]] = {}
-        for key, c in moments.items():
-            m = c.exact_mean.numerator * (d // c.exact_mean.denominator)
-            v = c.exact_variance.numerator * (d // c.exact_variance.denominator)
-            self.costs[key] = [m * b + f * v for f in factors]
+        d, fee, moments = spec.integer_costs
+        b = math.lcm(*(th.denominator for th in spec.exact_types))
+        self.denominator, self.charge = d * b, fee * b
+        factors = [th.numerator * (b // th.denominator) for th in spec.exact_types]
+        self.costs = {key: [m * b + f * v for f in factors] for key, (m, v) in moments.items()}
         self._machine_acts: dict[str, tuple[str, ...]] = {}
 
     def machine_actions(self, node: str) -> tuple[str, ...]:
@@ -191,11 +185,6 @@ class _Engine:
     def feasible(self, node: str, period: int) -> bool:
         # needs dist moves plus one STOP period inside the horizon
         return self.dist[node] <= self.T - period
-
-    def type_stage(self, i: int, node: str, effective: str, override: bool) -> Fraction:
-        """One type's exact stage contribution (fee included on override)."""
-        cost = self.costs[(node, effective)][i]
-        return Fraction(cost + self.charge if override else cost, self.denominator)
 
     def groups_of(self, support: tuple[int, ...], human_map) -> list[tuple[str, tuple[int, ...]]]:
         """Partition a support by prescribed signal, deterministic order."""
@@ -274,10 +263,12 @@ class _IntegerSolver(_Engine):
         The successors of a state are every nonempty subset of its support
         after every move whose destination can still finish in time: each
         of them is a group's child under some feasible prescription, which
-        is the set an exhaustive search visits. So no layer follows an empty one.
+        is the set an exhaustive search visits. So no layer follows an empty one,
+        and on a cycle :func:`_check_state_guard` bounds the layers.
         """
         root = BeliefState(self.spec.start_node, self.support0, 1)
         layers = [{}, {(root.node, (1 << len(root.support)) - 1): root}]
+        built = 1
         for t in range(1, self.T):
             nxt: dict[tuple[str, int], BeliefState] = {}
             for node, mask in layers[t]:
@@ -291,6 +282,8 @@ class _IntegerSolver(_Engine):
             if not nxt:
                 break
             layers.append(nxt)
+            built += len(nxt)
+            _check_state_guard(self.spec, t + 1, built, len(nxt))
         return layers
 
     def _subsets(self, mask: int) -> tuple:
@@ -477,6 +470,7 @@ class _Oracle(_Engine):
     def layers(self) -> list[list[BeliefState]]:
         """The states of each period from 1 on: the root, then every child of a prescription."""
         layers = [[BeliefState(self.spec.start_node, self.support0, 1)]]
+        built = 1
         while True:
             following: dict[BeliefState, None] = {}
             for state in layers[-1]:
@@ -485,6 +479,8 @@ class _Oracle(_Engine):
             if not following:
                 return layers
             layers.append(list(following))
+            built += len(following)
+            _check_state_guard(self.spec, len(layers), built, len(following))
 
     def count(self, layers: list[list[BeliefState]]) -> int:
         """Number of trees at the root, counted from the last period back."""
@@ -605,6 +601,22 @@ class _Oracle(_Engine):
         return Fraction(best, scale * denominator), [tree for _, tree in optimal]
 
 
+def _count_text(n: int) -> str:
+    """``n`` in digits, or as ``at least 2^k`` when a long horizon makes it too long for digits."""
+    return str(n) if n.bit_length() <= 64 else f"at least 2^{n.bit_length() - 1}"
+
+
+def _check_state_guard(spec: GameSpec, period: int, built: int, width: int) -> None:
+    """Raise once the states built up to ``period``, plus ``width`` more per period left,
+    pass :data:`STATE_GUARD`. Only a cycle has states after period |V|."""
+    projected = built + width * (spec.horizon_T - period)
+    if period > len(spec.nodes) and projected > STATE_GUARD:
+        raise EnumerationGuardError(
+            f"{_count_text(projected)} belief states projected to the horizon exceed "
+            f"the state guard of {STATE_GUARD}", bound=STATE_GUARD
+        )
+
+
 def count_deterministic_policies(spec: GameSpec) -> int:
     """Number of deterministic coordinator decision trees for an instance."""
     oracle = _Oracle(spec)
@@ -631,7 +643,8 @@ def brute_force_oracle(spec: GameSpec, guard: int = DEFAULT_POLICY_GUARD) -> Ora
     M. A state's distinct vectors, and every partial Minkowski sum of a
     prescription, number at most its trees. So no table holds more than M
     entries, a state costs at most K·M vector additions for K types, and
-    wall time needs no bound besides ``guard``.
+    wall time needs no bound besides ``guard`` and, on a cycle, the state
+    guard that the layers check before they are counted.
     """
     problems = validate_spec(spec)
     if problems:
@@ -644,10 +657,8 @@ def brute_force_oracle(spec: GameSpec, guard: int = DEFAULT_POLICY_GUARD) -> Ora
             f"no policy can finish from {spec.start_node!r} within horizon {spec.horizon_T}"
         )
     if n > guard:
-        # a long horizon's count can be too long to print in digits
-        count = str(n) if n.bit_length() <= 64 else f"at least 2^{n.bit_length() - 1}"
         raise EnumerationGuardError(
-            f"{count} candidate policies exceed the enumeration guard of {guard}", bound=guard
+            f"{_count_text(n)} candidate policies exceed the enumeration guard of {guard}", bound=guard
         )
     value, trees = oracle.minimize(layers)
     return OracleResult(value=value, policies=tuple(trees), policy_count=n)
@@ -836,12 +847,56 @@ def _run_without_recursion(step, root, memo: dict):
             stack.pop()
             result = done.value
             continue
-        if child in memo:
-            result = memo[child]
-        else:
+        result = memo.get(child, stack)  # the stack itself marks a child not yet entered
+        if result is stack:
             stack.append(step(child))
             result = None
     return result
+
+
+def _best_response(engine: _Engine, policy: CoordinatorPolicy, options, budget: _Budget):
+    """(least cost, argmin walk) of one agent's unilateral deviations from the policy.
+
+    ``options(state, presc)`` yields the agent's (action, integer stage
+    cost, successor states) at a state the policy decides by ``presc``, in
+    tie-break order; a successor of None is a dead end. An action's cost is
+    its stage cost plus its successors' least costs, and it is dropped at
+    its first dead successor. Each action tried ticks the budget once, and
+    the first strict minimum is kept. The walk maps state to argmin action,
+    breadth first from the root along the argmin actions' successors. The
+    cost is None, and the walk empty, when the root has no workable action.
+    """
+    memo: dict[BeliefState | None, tuple | None] = {None: None}  # None is a dead end
+
+    def best(state: BeliefState):
+        memo[state] = None  # states outside the solved envelope read as dead ends
+        presc = policy.decision.get(state)
+        if presc is None or state.period > engine.T:
+            return None
+        entry = None
+        for action, cost, children in options(state, presc):
+            budget.tick()
+            for child in children:
+                sub = yield child
+                if sub is None:
+                    break
+                cost += sub[0]
+            else:
+                if entry is None or cost < entry[0]:
+                    entry = (cost, action, children)
+        memo[state] = entry
+        return entry
+
+    root = _run_without_recursion(best, policy.root, memo)
+    walk: dict[BeliefState, str] = {}
+    queue = [policy.root]
+    while queue:
+        state = queue.pop(0)
+        entry = memo.get(state)
+        if state not in walk and entry is not None:
+            walk[state] = entry[1]
+            queue.extend(entry[2])
+    return (None if root is None else root[0]), walk
 
 
 def _machine_best_response(engine: _Engine, policy: CoordinatorPolicy, budget: _Budget):
@@ -850,72 +905,32 @@ def _machine_best_response(engine: _Engine, policy: CoordinatorPolicy, budget: _
     At every reachable state the riders keep signalling per the policy's
     slice there (their rule depends on the public state, not on the
     machine's action), so the machine's unilateral deviations form a
-    one-agent problem over the same belief states. Values are the policy's
+    one-agent problem over the same belief states. Costs are the policy's
     weighted stage costs as integers; only the root's best becomes a ``Fraction``.
     """
     scale, fee, stage = engine.scaled_stages(policy.weights)
     position = {i: k for k, i in enumerate(sorted(policy.weights))}
-    memo: dict[BeliefState, tuple[int, str] | None] = {}
 
-    def best(state: BeliefState):
-        memo[state] = None  # states outside the solved envelope read as dead ends
-        presc = policy.decision.get(state)
-        if presc is None or state.period > engine.T:
-            return None
+    def options(state: BeliefState, presc: Prescription):
         groups = engine.groups_of(state.support, presc.human_map)
-        best_entry = None
         for a_m in engine.machine_actions(state.node):
-            budget.tick()
-            total = 0
-            workable = True
+            cost, children = 0, []
             for signal, members in groups:
-                override = signal != SILENT
-                effective = signal if override else a_m
+                effective = a_m if signal == SILENT else signal
                 row = stage[(state.node, effective)]
-                for i in members:
-                    k = position[i]
-                    total += row[k] + fee[k] if override else row[k]
+                for k in map(position.__getitem__, members):
+                    cost += row[k] if signal == SILENT else row[k] + fee[k]
                 if effective != STOP:
-                    child = BeliefState(
-                        engine.edge_dst[(state.node, effective)], members, state.period + 1
-                    )
-                    sub = yield child
-                    if sub is None:
-                        workable = False
-                        break
-                    total += sub[0]
-            if workable and (best_entry is None or total < best_entry[0]):
-                best_entry = (total, a_m)
-        memo[state] = best_entry
-        return best_entry
+                    dst = engine.edge_dst[(state.node, effective)]
+                    children.append(BeliefState(dst, members, state.period + 1))
+            yield a_m, cost, children
 
-    root_entry = _run_without_recursion(best, policy.root, memo)
-    if root_entry is None:
+    best, walk = _best_response(engine, policy, options, budget)
+    if best is None:
         return None, ""
-    # describe the deviation by walking the argmin actions forward
-    moves: list[tuple[int, str, str]] = []
-    queue = [policy.root]
-    seen = set()
-    while queue:
-        state = queue.pop(0)
-        if state in seen:
-            continue
-        seen.add(state)
-        entry = memo.get(state)
-        presc = policy.decision.get(state)
-        if entry is None or presc is None:
-            continue
-        _, a_m = entry
-        if a_m != presc.machine:
-            moves.append((state.period, state.node, a_m))
-        for signal, members in engine.groups_of(state.support, presc.human_map):
-            effective = signal if signal != SILENT else a_m
-            if effective != STOP:
-                queue.append(
-                    BeliefState(engine.edge_dst[(state.node, effective)], members, state.period + 1)
-                )
-    detail = "; ".join(f"period {p} at node {n!r}: play {a}" for p, n, a in moves)
-    return Fraction(root_entry[0], scale), detail
+    moves = [(s, a) for s, a in walk.items() if a != policy.decision[s].machine]
+    detail = "; ".join(f"period {s.period} at node {s.node!r}: play {a}" for s, a in moves)
+    return Fraction(best, scale), detail
 
 
 def _human_best_response(
@@ -929,55 +944,19 @@ def _human_best_response(
     or riding silent where silence is prescribed). Off-path observations
     are outside the filter's domain and are not searched.
     """
-    memo: dict[BeliefState, tuple[Fraction, str] | None] = {}
 
-    def best(state: BeliefState):
-        memo[state] = None
-        presc = policy.decision.get(state)
-        if presc is None or state.period > engine.T:
-            return None
-        slice_map = presc.human_map
-        signals = sorted(set(slice_map.values()), key=_HUMAN_RANK.__getitem__)
-        best_entry = None
-        for a in signals:
-            budget.tick()
-            override = a != SILENT
-            effective = a if override else presc.machine
-            stage = engine.type_stage(type_index, state.node, effective, override)
-            if effective == STOP:
-                cand = stage
-            else:
-                child = policy.transitions.get((state, a))
-                if child is None:
-                    continue
-                sub = yield child
-                if sub is None:
-                    continue
-                cand = stage + sub[0]
-            if best_entry is None or cand < best_entry[0]:
-                best_entry = (cand, a)
-        memo[state] = best_entry
-        return best_entry
+    def options(state: BeliefState, presc: Prescription):
+        for a in sorted(set(presc.human_map.values()), key=_HUMAN_RANK.__getitem__):
+            effective = presc.machine if a == SILENT else a
+            cost = engine.costs[(state.node, effective)][type_index]
+            cost += 0 if a == SILENT else engine.charge
+            yield a, cost, [] if effective == STOP else [policy.transitions.get((state, a))]
 
-    root_entry = _run_without_recursion(best, policy.root, memo)
-    if root_entry is None:
+    best, walk = _best_response(engine, policy, options, budget)
+    if best is None:
         return None, ""
-    # walk the argmin signals for the counterexample description
-    chosen: list[tuple[int, str, str]] = []
-    state = policy.root
-    while True:
-        entry = memo.get(state)
-        if entry is None:
-            break
-        _, a = entry
-        chosen.append((state.period, state.node, a))
-        presc = policy.decision[state]
-        effective = a if a != SILENT else presc.machine
-        if effective == STOP:
-            break
-        state = policy.transitions[(state, a)]
-    detail = ", ".join(f"({p}, {n!r}, {a})" for p, n, a in chosen)
-    return root_entry[0], detail
+    detail = ", ".join(f"({s.period}, {s.node!r}, {a})" for s, a in walk.items())
+    return Fraction(best, engine.denominator), detail
 
 
 def _check_belief_consistency(spec: GameSpec, policy: CoordinatorPolicy) -> CheckResult:

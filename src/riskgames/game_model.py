@@ -168,6 +168,21 @@ class GameSpec:
         return tuple(as_fraction(th) for th in self.types)
 
     @cached_property
+    def integer_costs(self) -> tuple[int, int, dict[tuple[str, str], tuple[int, int]]]:
+        """(denominator, fee, moments): the fee and each move's (mean, variance)
+        as integers over one common denominator. Moves are keyed (node,
+        direction) for edges and (node, STOP) for terminals."""
+        costs = {(node, d): e.cost for node, out in self.out_edges.items() for d, e in out.items()}
+        costs.update(((node, STOP), cost) for node, cost in self.terminals.items())
+        q = self.exact_transmission_cost
+        den = math.lcm(q.denominator, *(x.denominator for c in costs.values()
+                                        for x in (c.exact_mean, c.exact_variance)))
+        moments = {key: (c.exact_mean.numerator * (den // c.exact_mean.denominator),
+                         c.exact_variance.numerator * (den // c.exact_variance.denominator))
+                   for key, c in costs.items()}
+        return den, q.numerator * (den // q.denominator), moments
+
+    @cached_property
     def steps_to_terminal(self) -> dict[str, int]:
         """Minimum number of moves from each node to some terminal (BFS)."""
         dist = {n: math.inf for n in self.nodes}

@@ -220,7 +220,7 @@ def test_neutral_override_plans_build_one_machine_table(graph_b, monkeypatch):
 
     machines, real = [], baseline_planners._induct
 
-    def counted(spec, theta, fee=Fraction(0), machine=None):
+    def counted(spec, theta, fee=False, machine=None):
         if machine is not None:
             machines.append(machine)  # kept alive, so identities stay distinct
         return real(spec, theta, fee, machine)

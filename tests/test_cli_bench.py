@@ -282,17 +282,17 @@ def test_cli_malformed_scenario_is_one_line_error(key, value, problem, tmp_path,
     assert err.count("\n") == 1
 
 
-def _cycle_scenario(tmp_path) -> str:
-    """A 3-node cycle with a 3000-period horizon, far beyond the recursion limit."""
+def _cycle_scenario(tmp_path, horizon=3000, extra_edges=()) -> str:
+    """A 3-node cycle (plus ``extra_edges``), by default over 3000 periods, far beyond the recursion limit."""
     data = {
         "nodes": ["1", "2", "3"],
         "edges": [
             {"from": src, "to": dst, "dir": d, "mean": 1, "var": 2}
-            for src, dst, d in (("1", "2", "E"), ("2", "3", "E"), ("3", "1", "S"))
+            for src, dst, d in (("1", "2", "E"), ("2", "3", "E"), ("3", "1", "S"), *extra_edges)
         ],
         "terminals": {"3": {"mean": 0, "var": 0}},
         "start": "1",
-        "horizon": 3000,
+        "horizon": horizon,
         "types": [0.01, 0.5],
         "prior": [0.5, 0.5],
         "q_h": 0.5,
@@ -351,6 +351,29 @@ def test_cli_long_horizon_cycle_sweep_with_overrides(tmp_path, capsys):
     assert rc == 0
     assert captured.err == ""
     assert captured.out.splitlines() == [CSV_HEADER, "0,0,0,0,4", "1,0,0,0,2.04"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve"],
+        ["verify"],
+        ["sweep", "--grid", "2"],
+        ["sweep", "--grid", "2", "--neutral-with-overrides"],
+        ["--aggregator", "cvar:0.5", "solve"],
+    ],
+    ids=" ".join,
+)
+def test_cli_huge_horizon_cycle_hits_the_state_guard(argv, tmp_path, capsys):
+    # the belief states of a cycle grow with the horizon: past period |V|
+    # their projection to a horizon of 10**400 passes the guard at once
+    path = _cycle_scenario(tmp_path, horizon=10**400, extra_edges=[("2", "1", "W")])
+    rc = main(["--scenario", path, *argv])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: EnumerationGuardError: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 def test_cli_aggregator_flag_is_validated(capsys):

@@ -40,8 +40,9 @@ WITH_HUGE_INTS = st.one_of(VALUES, st.sampled_from([10**400, -(10**400)]))
 
 # (where, value): a top-level key, or one field of an edge or a terminal. The
 # horizon gets no huge integer here: that is a valid horizon, and a mutated
-# edge can close a cycle, whose solve steps through every period of it
-# (ROADMAP item 3). The examples below give the acyclic graph_a huge horizons.
+# edge can close a negative-cost cycle, whose baselines step through every
+# period of it (ROADMAP item 3). The examples below give the acyclic graph_a
+# huge horizons.
 MUTATIONS = st.one_of(
     st.tuples(st.tuples(st.sampled_from(sorted(set(BASE) - {"horizon"}))), WITH_HUGE_INTS),
     st.tuples(st.just(("horizon",)), VALUES),

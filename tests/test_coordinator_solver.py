@@ -114,9 +114,14 @@ def test_dp_equals_oracle_on_graph_b_like_small_instance(graph_b):
 
 
 def reference_induction(spec):
-    """Backward induction keeping the first minimum in _Oracle's canonical order."""
+    """Backward induction keeping the first minimum in _Oracle's canonical order.
+
+    Stages are priced from the spec's exact moments, not the engine's integer tables.
+    """
     oracle = _Oracle(spec)
     decision, value, transitions = {}, {}, {}
+    moments = {(node, d): e.cost for node, out in spec.out_edges.items() for d, e in out.items()}
+    moments.update(((node, STOP), cost) for node, cost in spec.terminals.items())
 
     def solve(state):
         if state not in value:
@@ -125,8 +130,11 @@ def reference_induction(spec):
                 total = sum(solve(child) for _, child in children if child is not None)
                 for signal, members in oracle.groups_of(state.support, presc.human_map):
                     effective = presc.machine if signal == SILENT else signal
+                    cost = moments[(state.node, effective)]
                     for i in members:
-                        stage = oracle.type_stage(i, state.node, effective, signal != SILENT)
+                        stage = cost.exact_mean + spec.exact_types[i] * cost.exact_variance
+                        if signal != SILENT:
+                            stage += spec.exact_transmission_cost
                         total += oracle.weights[i] * stage
                 if best is None or total < best[0]:
                     best = (total, presc, children)
@@ -424,6 +432,14 @@ def test_verify_flags_wasted_signal_as_human_ic_failure(graph_a):
     assert not report.human_ic.passed
     failing = [c for c in report.per_type if not c.passed]
     assert failing and failing[0].improvement == Fraction(1, 2)
+    assert failing[0].detail == (
+        "type 1 lowers its criterion from 81/2 to 40 via signals (1, '1', SILENT), "
+        "(2, '2', SILENT), (3, '3', SILENT), (4, '5', SILENT), (5, '7', SILENT), (6, '8', SILENT)"
+    )
+    # the smallest budget that lets both best responses finish
+    assert verify_equilibrium(graph_a, policy, deviation_budget=30) == report
+    with pytest.raises(DeviationBudgetError):
+        verify_equilibrium(graph_a, policy, deviation_budget=29)
 
 
 def test_verify_flags_tampered_belief_table(graph_a):
@@ -509,13 +525,21 @@ def test_integer_stage_tables_equal_exact_moments(graph_a, graph_b):
         engine, q, weights = _Engine(spec), spec.exact_transmission_cost, spec.exact_prior()
         scale, fee, stage = engine.scaled_stages(weights)
         assert [Fraction(f, scale) for f in fee] == [weights[i] * q for i in sorted(weights)]
+        denominator, charge, moments = spec.integer_costs
+        assert Fraction(charge, denominator) == q
         moves = [(node, d, e.cost) for node, out in spec.out_edges.items() for d, e in out.items()]
         moves += [(node, STOP, cost) for node, cost in spec.terminals.items()]
+        assert len(moments) == len(moves)
         for node, move, cost in moves:
+            mean, variance = moments[(node, move)]
+            assert (Fraction(mean, denominator), Fraction(variance, denominator)) == (
+                cost.exact_mean, cost.exact_variance
+            )
             want = [cost.exact_mean + theta * cost.exact_variance for theta in spec.exact_types]
+            row = engine.costs[(node, move)]
             for i, criterion in enumerate(want):
-                assert engine.type_stage(i, node, move, False) == criterion
-                assert engine.type_stage(i, node, move, True) == criterion + q
+                assert Fraction(row[i], engine.denominator) == criterion
+                assert Fraction(row[i] + engine.charge, engine.denominator) == criterion + q
             for k, i in enumerate(sorted(weights)):
                 assert Fraction(stage[(node, move)][k], scale) == weights[i] * want[i]
 
