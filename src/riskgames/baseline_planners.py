@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import EnumerationGuardError, UnreachableTerminalError
+from .errors import STATE_GUARD, EnumerationGuardError, UnreachableTerminalError, _count_text
 from .game_model import (
     SILENT,
     STOP,
@@ -129,10 +129,21 @@ def _induct(spec: GameSpec, theta: Fraction, fee: bool = False, machine=None):
     on a move; given a ``machine`` table, a SILENT option that rides
     ``machine[r][node]`` free of the fee comes first.
 
-    It stops once the value table at r equals the one at r - 1 and
-    ``machine`` has no later table, as every later table would repeat the
-    last: read ``action[min(r, len(action) - 1)]``. On an acyclic graph this
-    comes within |V| rounds of the machine table's last, whatever the horizon.
+    A worklist (label correcting, as in Bellman-Ford) picks the nodes a
+    round re-evaluates: every node in round 1, then the predecessors of the
+    nodes whose value changed in the last round, and the nodes whose ride
+    changed; the others keep their last entries. This is exact: a node whose
+    successors' values and ride did not change meets the same options at the
+    same costs, each node reads only the last round's values, so the order of
+    the list changes nothing, and reachability only grows with r.
+
+    It stops once no value changed and ``machine`` has no later table, as
+    every later table would repeat the last: read
+    ``action[min(r, len(action) - 1)]``. Without a negative-cost cycle this
+    comes by round |V| plus the machine table's last, whatever the horizon,
+    unless the ride circles a zero-cost cycle, where a responder's values
+    alternate forever. Past that round, a change raises :class:`EnumerationGuardError`
+    once |V| entries for each period left exceed :data:`STATE_GUARD`.
     """
     # spec.integer_costs over theta's denominator: one common positive scale
     _, q, moments = spec.integer_costs
@@ -141,13 +152,20 @@ def _induct(spec: GameSpec, theta: Fraction, fee: bool = False, machine=None):
     stop = {node: weight[(node, STOP)] for node in spec.terminals}
     moves = {node: {d: (e.dst, weight[(node, d)]) for d, e in out.items()}
              for node, out in spec.out_edges.items()}
+    size = len(spec.nodes)
+    settled = size + (len(machine) - 1 if machine is not None else 0)
     action: list[dict[str, str]] = [{}]
-    later: dict[str, int] = {}
+    later, acts, ride = {}, {}, {}  # the last round's values, actions and machine table
+    dirty = moves.keys()
     for r in range(1, spec.horizon_T + 1):
-        now: dict[str, int] = {}
-        acts: dict[str, str] = {}
-        ride = machine[min(r, len(machine) - 1)] if machine is not None else {}
-        for node, out in moves.items():
+        if machine is not None:
+            last, ride = ride, machine[min(r, len(machine) - 1)]
+            if ride is not last:
+                dirty = {*dirty, *(node for node in moves if ride.get(node) != last.get(node))}
+        now, acts = dict(later), dict(acts)
+        changed = []
+        for node in dirty:
+            out = moves[node]
             best = act = None
             default = ride.get(node)
             if default == STOP:
@@ -162,10 +180,17 @@ def _induct(spec: GameSpec, theta: Fraction, fee: bool = False, machine=None):
                     best, act = charge + w + later[dst], d
             if act is not None:
                 now[node], acts[node] = best, act
+                if later.get(node) != best:
+                    changed.append(node)
         action.append(acts)
-        if now == later and (machine is None or r >= len(machine) - 1):
+        if not changed and (machine is None or r >= len(machine) - 1):
             break
+        if changed and r > settled and (entries := size * (spec.horizon_T - r)) > STATE_GUARD:
+            raise EnumerationGuardError(
+                f"{_count_text(entries)} (node, periods left) entries projected to the horizon "
+                f"exceed the state guard of {STATE_GUARD}", bound=STATE_GUARD)
         later = now
+        dirty = {u for v in changed for u in spec.predecessors[v]}
     return action
 
 

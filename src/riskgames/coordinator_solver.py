@@ -52,11 +52,13 @@ from fractions import Fraction
 from .baseline_planners import PlannerResult, RealizedPlan
 from .belief_filter import Belief, bayes_update
 from .errors import (
+    STATE_GUARD,
     DeviationBudgetError,
     EnumerationGuardError,
     HorizonError,
     SpecValidationError,
     UnsupportedAggregatorError,
+    _count_text,
 )
 from .game_model import (
     HUMAN_ACTIONS,
@@ -73,7 +75,6 @@ from .risk_measures import EmpiricalOutcome, cvar_aggregate, cvar_pricer
 _HUMAN_RANK = {a: i for i, a in enumerate(HUMAN_ACTIONS)}
 
 DEFAULT_POLICY_GUARD = 10_000_000
-STATE_GUARD = 30_000  # belief states a graph with a cycle may project to its horizon
 DEFAULT_DEVIATION_BUDGET = 1_000_000
 
 
@@ -599,11 +600,6 @@ class _Oracle(_Engine):
             (pair for v in needed[root] for pair in built[(root, v)]), key=operator.itemgetter(0)
         )
         return Fraction(best, scale * denominator), [tree for _, tree in optimal]
-
-
-def _count_text(n: int) -> str:
-    """``n`` in digits, or as ``at least 2^k`` when a long horizon makes it too long for digits."""
-    return str(n) if n.bit_length() <= 64 else f"at least 2^{n.bit_length() - 1}"
 
 
 def _check_state_guard(spec: GameSpec, period: int, built: int, width: int) -> None:

@@ -1,4 +1,11 @@
-"""Exception types shared across the library."""
+"""Exception types and the work guard shared across the library."""
+
+STATE_GUARD = 30_000  # belief states, or (node, periods left) entries, a cycle may project to its horizon
+
+
+def _count_text(n: int) -> str:
+    """``n`` in digits, or as ``at least 2^k`` when a long horizon makes it too long for digits."""
+    return str(n) if n.bit_length() <= 64 else f"at least 2^{n.bit_length() - 1}"
 
 
 class RiskGamesError(Exception):

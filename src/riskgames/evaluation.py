@@ -186,7 +186,8 @@ def prior_sweep(
         bcp = sum((w * best_case[i] for i, w in weights.items()), start=Fraction(0))
         hm_policy = solve_dp(swept)
         hm = hm_policy.value[hm_policy.root]
-        ma = evaluate_policy(swept, baseline_policy(swept, "average")).weighted_criterion
+        average = baseline_policy(swept, "average").per_type_criterion
+        ma = sum((w * average[i] for i, w in weights.items()), start=Fraction(0))
         mn = sum((w * neutral[i] for i, w in weights.items()), start=Fraction(0))
         rows.append(
             RegretRow(

@@ -158,6 +158,16 @@ class GameSpec:
         return table
 
     @cached_property
+    def predecessors(self) -> dict[str, list[str]]:
+        """Each node's edge sources, one per edge into it; edges whose ends
+        are not nodes are skipped, as this may be read before validation."""
+        table: dict[str, list[str]] = {n: [] for n in self.nodes}
+        for e in self.edges:
+            if e.src in table and e.dst in table:
+                table[e.dst].append(e.src)
+        return table
+
+    @cached_property
     def exact_transmission_cost(self) -> Fraction:
         """The signalling fee as an exact rational (see :func:`as_fraction`)."""
         return as_fraction(self.transmission_cost)
@@ -191,13 +201,9 @@ class GameSpec:
             if t in dist:
                 dist[t] = 0
                 queue.append(t)
-        incoming: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for e in self.edges:
-            if e.src in incoming and e.dst in incoming:
-                incoming[e.dst].append(e.src)
         while queue:
             v = queue.popleft()
-            for u in incoming[v]:
+            for u in self.predecessors[v]:
                 if dist[u] == math.inf:
                     dist[u] = dist[v] + 1
                     queue.append(u)

@@ -1,5 +1,6 @@
 """Test-only reference planners: the forward-search and memoized-recursion
-baselines that ``baseline_planners`` replaced with one backward induction.
+baselines that ``baseline_planners`` replaced with one backward induction,
+and that induction as it was before it kept a worklist (:func:`induct`).
 
 ``risk_adjusted_shortest_path`` keeps, per (node, moves made), the best
 (cost, direction-rank sequence) and picks the overall minimum of that pair;
@@ -163,3 +164,39 @@ def neutral_override_plan(spec: GameSpec, type_index: int) -> RealizedPlan:
         edge = spec.out_edges[node][move]
         edges.append(edge)
         node, r = edge.dst, r - 1
+
+
+def induct(spec: GameSpec, theta: Fraction, fee: bool = False, machine=None):
+    """``baseline_planners._induct`` re-evaluating every node and every out-edge each round."""
+    _, q, moments = spec.integer_costs
+    weight = {key: m * theta.denominator + theta.numerator * v for key, (m, v) in moments.items()}
+    charge = q * theta.denominator if fee else 0
+    stop = {node: weight[(node, STOP)] for node in spec.terminals}
+    moves = {node: {d: (e.dst, weight[(node, d)]) for d, e in out.items()}
+             for node, out in spec.out_edges.items()}
+    action: list[dict[str, str]] = [{}]
+    later: dict[str, int] = {}
+    for r in range(1, spec.horizon_T + 1):
+        now: dict[str, int] = {}
+        acts: dict[str, str] = {}
+        ride = machine[min(r, len(machine) - 1)] if machine is not None else {}
+        for node, out in moves.items():
+            best = act = None
+            default = ride.get(node)
+            if default == STOP:
+                best, act = stop[node], SILENT
+            elif default is not None:
+                dst, w = out[default]
+                best, act = w + later[dst], SILENT
+            if node in stop and (best is None or charge + stop[node] < best):
+                best, act = charge + stop[node], STOP
+            for d, (dst, w) in out.items():
+                if dst in later and (best is None or charge + w + later[dst] < best):
+                    best, act = charge + w + later[dst], d
+            if act is not None:
+                now[node], acts[node] = best, act
+        action.append(acts)
+        if now == later and (machine is None or r >= len(machine) - 1):
+            break
+        later = now
+    return action

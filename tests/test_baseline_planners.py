@@ -7,6 +7,7 @@ import reference_baselines as reference
 from instance_gen import random_game, seeded_lattice
 from riskgames import CostDistribution, Edge, GameSpec
 from riskgames.baseline_planners import (
+    _induct,
     average_theta,
     baseline_policy,
     best_case_value,
@@ -248,3 +249,48 @@ def test_planners_equal_reference_baselines():
             assert plan == reference.risk_adjusted_shortest_path(spec, theta), (n, theta)
         for i in range(len(spec.types)):
             assert neutral_override_plan(spec, i) == reference.neutral_override_plan(spec, i), (n, i)
+
+
+def _cycle(mean, var, horizon):
+    """The 3-node cycle 1 -> 2 -> 3 -> 1, every edge with the given moments, stopping at 3."""
+    return GameSpec(
+        nodes=("1", "2", "3"),
+        edges=tuple(Edge(a, b, d, CostDistribution(mean, var))
+                    for a, b, d in (("1", "2", "E"), ("2", "3", "E"), ("3", "1", "S"))),
+        terminals={"3": CostDistribution(0, 0)},
+        start_node="1",
+        horizon_T=horizon,
+        types=(0.01, 0.5),
+        prior=(0.5, 0.5),
+        transmission_cost=0.5,
+    )
+
+
+def test_induct_tables_equal_reference_induct(graph_a):
+    # the whole (node, periods left) table, not only the route read back from
+    # it; seeded_lattice(s) is the lattice workload's spec at seed s
+    specs = [
+        random_game(seed, max_nodes=8, k_types=3, max_extra_edges=8, max_slack=4)
+        for seed in range(200)
+    ] + [seeded_lattice(s) for s in range(4)] + [
+        _cycle(1, 2, 3000), _cycle(-1, 0, 3000), replace(graph_a, horizon_T=10**400)
+    ]
+    for n, spec in enumerate(specs):
+        for theta in {Fraction(0), *spec.exact_types, average_theta(spec)}:
+            assert _induct(spec, theta) == reference.induct(spec, theta), (n, theta)
+        machine = _induct(spec, Fraction(0))
+        for theta in spec.exact_types:
+            got = _induct(spec, theta, True, machine)
+            assert got == reference.induct(spec, theta, True, machine), (n, theta)
+
+
+def test_induct_on_a_negative_cycle_hits_the_state_guard():
+    # the best route around a negative-cost cycle grows with the horizon; from
+    # round |V| + 1 = 4 on, the 3 nodes project 3 * (T - 4) entries
+    assert len(_induct(_cycle(-1, 0, 10_004), Fraction(0))) == 10_005  # 30,000 entries pass
+    with pytest.raises(EnumerationGuardError) as err:
+        _induct(_cycle(-1, 0, 10_005), Fraction(0))
+    assert err.value.bound == 30_000
+    assert str(err.value) == (
+        "30003 (node, periods left) entries projected to the horizon exceed the state guard of 30000"
+    )

@@ -282,12 +282,12 @@ def test_cli_malformed_scenario_is_one_line_error(key, value, problem, tmp_path,
     assert err.count("\n") == 1
 
 
-def _cycle_scenario(tmp_path, horizon=3000, extra_edges=()) -> str:
+def _cycle_scenario(tmp_path, horizon=3000, extra_edges=(), mean=1, var=2) -> str:
     """A 3-node cycle (plus ``extra_edges``), by default over 3000 periods, far beyond the recursion limit."""
     data = {
         "nodes": ["1", "2", "3"],
         "edges": [
-            {"from": src, "to": dst, "dir": d, "mean": 1, "var": 2}
+            {"from": src, "to": dst, "dir": d, "mean": mean, "var": var}
             for src, dst, d in (("1", "2", "E"), ("2", "3", "E"), ("3", "1", "S"), *extra_edges)
         ],
         "terminals": {"3": {"mean": 0, "var": 0}},
@@ -374,6 +374,31 @@ def test_cli_huge_horizon_cycle_hits_the_state_guard(argv, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: EnumerationGuardError: ")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["paths"], ["baselines"], ["baselines", "--neutral-with-overrides"], ["sweep", "--grid", "2"]],
+    ids=" ".join,
+)
+def test_cli_huge_horizon_negative_cycle_hits_the_state_guard(argv, tmp_path, capsys):
+    # around a negative-cost cycle the best route grows with the horizon, so
+    # the baselines' induction never settles; 3 nodes times 3,000 periods pass
+    # the guard, and the same cycle at 10**400 does not
+    path = _cycle_scenario(tmp_path, mean=-1, var=0)
+    assert main(["--scenario", path, *argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if argv == ["baselines", "--neutral-with-overrides"]:
+        assert "neutral (with overrides): type 0: -2999, type 1: -2999 | weighted -2999 | regret 0" in (
+            captured.out.splitlines()
+        )
+    path = _cycle_scenario(tmp_path, horizon=10**400, mean=-1, var=0)
+    rc = main(["--scenario", path, *argv])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: EnumerationGuardError: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_cli_aggregator_flag_is_validated(capsys):
