@@ -139,11 +139,12 @@ def _induct(spec: GameSpec, theta: Fraction, fee: bool = False, machine=None):
 
     It stops once no value changed and ``machine`` has no later table, as
     every later table would repeat the last: read
-    ``action[min(r, len(action) - 1)]``. Without a negative-cost cycle this
-    comes by round |V| plus the machine table's last, whatever the horizon,
-    unless the ride circles a zero-cost cycle, where a responder's values
-    alternate forever. Past that round, a change raises :class:`EnumerationGuardError`
-    once |V| entries for each period left exceed :data:`STATE_GUARD`.
+    ``action[min(r, len(action) - 1)]``. Without a negative-cost cycle a
+    plain induction stops by round |V|, whatever the horizon; past it, a
+    change raises :class:`EnumerationGuardError` once |V| entries for each
+    period left exceed :data:`STATE_GUARD`. A responder is not guarded: its
+    values alternate forever if its ride circles a zero-cost cycle, and the
+    machine table's induction has already met any negative cycle.
     """
     # spec.integer_costs over theta's denominator: one common positive scale
     _, q, moments = spec.integer_costs
@@ -153,7 +154,6 @@ def _induct(spec: GameSpec, theta: Fraction, fee: bool = False, machine=None):
     moves = {node: {d: (e.dst, weight[(node, d)]) for d, e in out.items()}
              for node, out in spec.out_edges.items()}
     size = len(spec.nodes)
-    settled = size + (len(machine) - 1 if machine is not None else 0)
     action: list[dict[str, str]] = [{}]
     later, acts, ride = {}, {}, {}  # the last round's values, actions and machine table
     dirty = moves.keys()
@@ -162,8 +162,8 @@ def _induct(spec: GameSpec, theta: Fraction, fee: bool = False, machine=None):
             last, ride = ride, machine[min(r, len(machine) - 1)]
             if ride is not last:
                 dirty = {*dirty, *(node for node in moves if ride.get(node) != last.get(node))}
-        now, acts = dict(later), dict(acts)
-        changed = []
+        acts = dict(acts)
+        changed = {}
         for node in dirty:
             out = moves[node]
             best = act = None
@@ -179,17 +179,17 @@ def _induct(spec: GameSpec, theta: Fraction, fee: bool = False, machine=None):
                 if dst in later and (best is None or charge + w + later[dst] < best):
                     best, act = charge + w + later[dst], d
             if act is not None:
-                now[node], acts[node] = best, act
+                acts[node] = act
                 if later.get(node) != best:
-                    changed.append(node)
+                    changed[node] = best
         action.append(acts)
         if not changed and (machine is None or r >= len(machine) - 1):
             break
-        if changed and r > settled and (entries := size * (spec.horizon_T - r)) > STATE_GUARD:
+        if changed and machine is None and r > size and (entries := size * (spec.horizon_T - r)) > STATE_GUARD:
             raise EnumerationGuardError(
                 f"{_count_text(entries)} (node, periods left) entries projected to the horizon "
                 f"exceed the state guard of {STATE_GUARD}", bound=STATE_GUARD)
-        later = now
+        later.update(changed)
         dirty = {u for v in changed for u in spec.predecessors[v]}
     return action
 

@@ -294,3 +294,28 @@ def test_induct_on_a_negative_cycle_hits_the_state_guard():
     assert str(err.value) == (
         "30003 (node, periods left) entries projected to the horizon exceed the state guard of 30000"
     )
+
+
+def test_responder_on_a_zero_cost_ride_cycle_runs_to_the_horizon():
+    # the machine rides n2 -> n1 -> n2 at -2 + 2 = 0 a lap, so the rider's
+    # values alternate with the parity of the periods left and never settle;
+    # there is no negative cycle, so the guard must not end the responder
+    c = CostDistribution
+    spec = GameSpec(
+        nodes=("n0", "n1", "n2"),
+        edges=(Edge("n0", "n2", "W", c(3, 0)), Edge("n0", "n1", "S", c(-2, 1)),
+               Edge("n0", "n1", "E", c(4, 0)), Edge("n1", "n0", "S", c(4, 2)),
+               Edge("n1", "n2", "N", c(2, 0)), Edge("n1", "n0", "W", c(2, 0)),
+               Edge("n2", "n1", "N", c(-2, 0)), Edge("n2", "n0", "W", c(0, 1))),
+        terminals={"n2": c(2, 1), "n0": c(-1, 0)},
+        start_node="n0",
+        horizon_T=12_000,  # 3 * (12,000 - r) entries pass STATE_GUARD until r = 2,000
+        types=(0.0, 0.5, 1.0),
+        prior=(0.3, 0.3, 0.4),
+        transmission_cost=0.5,
+    )
+    machine = _induct(spec, Fraction(0))
+    for theta in spec.exact_types[1:]:
+        got = _induct(spec, theta, True, machine)
+        assert len(got) == 12_001
+        assert got == reference.induct(spec, theta, True, machine), theta
