@@ -316,9 +316,9 @@ def _cmd_solve(sc: ScenarioFile, args) -> int:
 
 def _cmd_baselines(sc: ScenarioFile, args) -> int:
     spec = sc.spec
-    print(f"theta_bar: {fmt(average_theta(spec))}")
+    lines = [f"theta_bar: {fmt(average_theta(spec))}"]
     bcp = best_case_value(spec)
-    print(f"best_case: {fmt(bcp)}")
+    lines.append(f"best_case: {fmt(bcp)}")
     for mode in ("neutral", "average"):
         if mode == "neutral" and args.neutral_with_overrides:
             per_type = {
@@ -328,7 +328,7 @@ def _cmd_baselines(sc: ScenarioFile, args) -> int:
             weights = spec.exact_prior()
             weighted = sum(weights[i] * o.criterion for i, o in per_type.items())
             crits = ", ".join(f"type {i}: {fmt(o.criterion)}" for i, o in per_type.items())
-            print(f"neutral (with overrides): {crits} | weighted {fmt(weighted)} | regret {fmt(weighted - bcp)}")
+            lines.append(f"neutral (with overrides): {crits} | weighted {fmt(weighted)} | regret {fmt(weighted - bcp)}")
             continue
         plan = baseline_policy(spec, mode)
         ev = evaluation.evaluate_policy(spec, plan)
@@ -336,10 +336,11 @@ def _cmd_baselines(sc: ScenarioFile, args) -> int:
             f"type {i}: {fmt(o.criterion)}" for i, o in sorted(ev.per_type.items())
         )
         # every type rides the planned route silently, so any type's playout describes it
-        print(
+        lines.append(
             f"{mode}: route {_describe_route(playout(spec, plan, 0))} | {crits}"
             f" | weighted {fmt(ev.weighted_criterion)} | regret {fmt(ev.weighted_criterion - bcp)}"
         )
+    print("\n".join(lines))
     return 0
 
 
@@ -383,15 +384,16 @@ def _cmd_paths(sc: ScenarioFile, args) -> int:
     spec = sc.spec
     stats = enumerate_paths_oracle(spec)
     headers = ["route", "mean", "variance"] + [f"criterion@{fmt(t)}" for t in spec.types]
-    print("\t".join(headers))
+    lines = ["\t".join(headers)]
     for ps in stats:
         row = [_describe_route(ps), fmt(ps.mean), fmt(ps.variance)]
         row += [fmt(ps.criterion(t)) for t in spec.types]
-        print("\t".join(row))
+        lines.append("\t".join(row))
     for i, t in enumerate(spec.types):
         plan = risk_adjusted_shortest_path(spec, t)
-        print(f"optimal@{fmt(t)}: {_describe_route(playout(spec, plan, i))} "
-              f"criterion {fmt(plan.per_type_criterion[i])}")
+        lines.append(f"optimal@{fmt(t)}: {_describe_route(playout(spec, plan, i))} "
+                     f"criterion {fmt(plan.per_type_criterion[i])}")
+    print("\n".join(lines))
     return 0
 
 

@@ -16,14 +16,16 @@ group's stage-plus-continuation cost depends only on its signal and member
 set. The search runs on integers, every weighted stage cost and fee
 scaled by one common denominator, and the tie-break below rides in the
 low digits of those integers. The brute-force oracle
-(:func:`brute_force_oracle`), the solve path for CVaR, counts every policy
-tree over period layers but builds only the optimal ones. A tree's
-per-type costs, integers over one common denominator, are its stage costs
-plus its subtrees' costs, and the aggregator depends on nothing else. So
-each state keeps only its distinct per-type cost vectors, and each
-distinct root vector is priced once, as an integer dot product. The
-equilibrium verifier runs one budgeted deviation search, on an explicit
-stack, for the machine and for each rider type.
+(:func:`brute_force_oracle`), the solve path for CVaR, reads the solver's
+states and walks the solver's subset splits: with (+, ×) in place of
+(min, +) they count the policy trees, and with (union, Minkowski sum) they
+give each state's distinct per-type cost vectors. A tree's vector,
+integers over one common denominator, is the concatenation of its signal
+groups' vectors, each a group's stage costs plus its subtree's vector, and
+the aggregator depends on nothing else. So each distinct root vector is
+priced once, as an integer dot product, and only the optimal trees are
+built. The equilibrium verifier runs one budgeted deviation search, on an
+explicit stack, for the machine and for each rider type.
 
 Every forward evaluation of a policy, of any kind, is one walk:
 :func:`playout` follows one rider type's route from the start node and
@@ -43,6 +45,7 @@ Conventions fixed here for reproducibility:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -55,7 +58,6 @@ from .errors import (
     STATE_GUARD,
     DeviationBudgetError,
     EnumerationGuardError,
-    HorizonError,
     SpecValidationError,
     UnsupportedAggregatorError,
     _count_text,
@@ -158,9 +160,16 @@ class TypeTrajectory:
 
 
 class _Engine:
-    """Shared exact-cost tables for the solver, oracle and verifier: type i's
-    stage cost m + θ_i·v of effective move ``e`` at ``node`` (STOP included)
-    is ``costs[(node, e)][i] / denominator``, and the fee ``charge / denominator``."""
+    """Shared exact-cost tables and state space for the solver, oracle and verifier.
+
+    Type i's stage cost m + θ_i·v of effective move ``e`` at ``node`` (STOP
+    included) is ``costs[(node, e)][i] / denominator``, and the fee
+    ``charge / denominator``; ``scale``, ``fee`` and ``stage`` are the same
+    costs weighted by the prior (:meth:`scaled_stages`), which the solver
+    searches on. States are keyed by (node, support mask), bit k of the
+    mask standing for the k-th type of the prior's support, and
+    :meth:`layers` builds them per period.
+    """
 
     def __init__(self, spec: GameSpec):
         self.spec = spec
@@ -174,7 +183,10 @@ class _Engine:
         self.denominator, self.charge = d * b, fee * b
         factors = [th.numerator * (b // th.denominator) for th in spec.exact_types]
         self.costs = {key: [m * b + f * v for f in factors] for key, (m, v) in moments.items()}
+        self.scale, self.fee, self.stage = self.scaled_stages(self.weights)
         self._machine_acts: dict[str, tuple[str, ...]] = {}
+        self._subset_cache: dict[int, tuple] = {}
+        self._split_cache: dict[int, list[list[tuple[int, int]]]] = {}
 
     def machine_actions(self, node: str) -> tuple[str, ...]:
         acts = self._machine_acts.get(node)
@@ -208,64 +220,15 @@ class _Engine:
         stage = {key: [f * row[i] for i, f in factors] for key, row in self.costs.items()}
         return self.denominator * lcm, fee, stage
 
-
-class _IntegerSolver(_Engine):
-    """Backward induction over period layers, prescription search by subset DP.
-
-    Every weighted stage cost and weighted fee is an integer multiple of
-    ``1 / scale``, so values are kept as those integers and become
-    Fractions only when the policy tables are built. States are keyed by
-    (node, support mask), bit k of the mask standing for the k-th type of
-    the prior's support.
-    """
-
-    def __init__(self, spec: GameSpec):
-        super().__init__(spec)
-        self.scale, self.fee, self.stage = self.scaled_stages(self.weights)
-        self._subset_cache: dict[int, tuple] = {}
-        self._split_cache: dict[int, list[list[tuple[int, int]]]] = {}
-
-    def policy(self) -> CoordinatorPolicy:
-        layers = self._layers()
-        decision: dict[BeliefState, Prescription] = {}
-        values: dict[BeliefState, Fraction] = {}
-        transitions: dict[tuple[BeliefState, str], BeliefState | None] = {}
-        later: dict[tuple[str, int], int] = {}
-        for t in range(len(layers) - 1, 0, -1):
-            current: dict[tuple[str, int], int] = {}
-            for (node, mask), state in layers[t].items():
-                value, a_m, human = self._best(node, mask, t, later)
-                current[(node, mask)] = value
-                decision[state] = Prescription(a_m, tuple(zip(state.support, human)))
-                values[state] = Fraction(value, self.scale)
-                members = self._subsets(mask)[1]
-                groups: dict[str, int] = {}
-                for j, signal in enumerate(human):
-                    groups[signal] = groups.get(signal, 0) | members[1 << j]
-                for signal, group in groups.items():
-                    effective = a_m if signal == SILENT else signal
-                    transitions[(state, signal)] = (
-                        None
-                        if effective == STOP
-                        else layers[t + 1][(self.edge_dst[(node, effective)], group)]
-                    )
-            later = current
-        return CoordinatorPolicy(
-            root=next(iter(layers[1].values())),
-            decision=decision,
-            value=values,
-            transitions=transitions,
-            weights=dict(self.weights),
-        )
-
-    def _layers(self) -> list[dict[tuple[str, int], BeliefState]]:
+    def layers(self) -> list[dict[tuple[str, int], BeliefState]]:
         """The states of each period, index 1 to T or to the last nonempty layer.
 
         The successors of a state are every nonempty subset of its support
         after every move whose destination can still finish in time: each
         of them is a group's child under some feasible prescription, which
         is the set an exhaustive search visits. So no layer follows an empty one,
-        and on a cycle :func:`_check_state_guard` bounds the layers.
+        and on a cycle :func:`_check_state_guard` bounds the layers. Only the
+        solver and the oracle build them, once per solve.
         """
         root = BeliefState(self.spec.start_node, self.support0, 1)
         layers = [{}, {(root.node, (1 << len(root.support)) - 1): root}]
@@ -324,6 +287,48 @@ class _IntegerSolver(_Engine):
                 splits.append(pairs)
             self._split_cache[size] = splits
         return splits
+
+
+class _IntegerSolver(_Engine):
+    """Backward induction over the engine's period layers, prescription search by subset DP.
+
+    Every weighted stage cost and weighted fee is an integer multiple of
+    ``1 / scale``, so values are kept as those integers and become
+    Fractions only when the policy tables are built.
+    """
+
+    def policy(self) -> CoordinatorPolicy:
+        layers = self.layers()
+        decision: dict[BeliefState, Prescription] = {}
+        values: dict[BeliefState, Fraction] = {}
+        transitions: dict[tuple[BeliefState, str], BeliefState | None] = {}
+        later: dict[tuple[str, int], int] = {}
+        for t in range(len(layers) - 1, 0, -1):
+            current: dict[tuple[str, int], int] = {}
+            for (node, mask), state in layers[t].items():
+                value, a_m, human = self._best(node, mask, t, later)
+                current[(node, mask)] = value
+                decision[state] = Prescription(a_m, tuple(zip(state.support, human)))
+                values[state] = Fraction(value, self.scale)
+                members = self._subsets(mask)[1]
+                groups: dict[str, int] = {}
+                for j, signal in enumerate(human):
+                    groups[signal] = groups.get(signal, 0) | members[1 << j]
+                for signal, group in groups.items():
+                    effective = a_m if signal == SILENT else signal
+                    transitions[(state, signal)] = (
+                        None
+                        if effective == STOP
+                        else layers[t + 1][(self.edge_dst[(node, effective)], group)]
+                    )
+            later = current
+        return CoordinatorPolicy(
+            root=next(iter(layers[1].values())),
+            decision=decision,
+            value=values,
+            transitions=transitions,
+            weights=dict(self.weights),
+        )
 
     def _best(self, node: str, mask: int, t: int, later: dict[tuple[str, int], int]):
         """(scaled value, machine action, signal per member) of the state's optimum.
@@ -422,184 +427,174 @@ def solve_dp(spec: GameSpec) -> CoordinatorPolicy:
 
 
 class _Oracle(_Engine):
-    """Deterministic coordinator policies as decision trees, in canonical order.
+    """Deterministic coordinator policies as decision trees, over the engine's layers.
 
-    A state's trees come prescription by prescription, in the order of
-    :meth:`prescriptions`, and within one prescription as the product of
-    its children's trees, the first child varying slowest. So a tree's
-    place in that order is the order of its key: (prescription index,
-    child keys...), with ``()`` for a group that stops. Trees are counted
-    (:meth:`count`) and priced by their cost vectors (:meth:`minimize`);
-    only optimal ones are ever built.
+    A prescription splits a state's support into signal groups, at most
+    one per signal, and each group that moves on follows one tree of its
+    child state. So a state's trees are a sum, over machine actions and
+    splits, of products of its groups' trees: :meth:`_fold` walks the
+    splits of ``_IntegerSolver._best`` with a (join, combine) pair in place
+    of (min, +). Only optimal trees are built, each next to its key
+    (machine action rank, the members' signal ranks, child keys...), with
+    ``()`` for a group that stops. Keys order trees as an enumeration of
+    each state's feasible prescriptions in the tie-break order of the
+    module docstring, each the product of its children's trees, the first
+    child varying slowest.
     """
 
-    def __init__(self, spec: GameSpec):
-        super().__init__(spec)
-        self._prescriptions: dict[BeliefState, list] = {}
+    def _fold(self, node: str, mask: int, t: int, rows, join, combine) -> list:
+        """Per machine action, the join over its prescriptions of their groups' combined rows.
 
-    def prescriptions(self, state: BeliefState) -> list:
-        """Feasible prescriptions with their child states, canonical order."""
-        cached = self._prescriptions.get(state)
-        if cached is not None:
-            return cached
-        node, support, t = state.node, state.support, state.period
-        out = []
-        if t <= self.T and self.feasible(node, t):
-            human_acts = (SILENT,) + self.machine_actions(node)
-            for a_m in self.machine_actions(node):
-                for combo in itertools.product(human_acts, repeat=len(support)):
-                    groups: dict[str, list[int]] = {}
-                    for i, a in zip(support, combo):
-                        groups.setdefault(a, []).append(i)
-                    children: list[tuple[str, BeliefState | None]] = []
-                    workable = True
-                    for signal, members in groups.items():
-                        effective = signal if signal != SILENT else a_m
-                        if effective == STOP:
-                            children.append((signal, None))
-                            continue
-                        dst = self.edge_dst[(node, effective)]
-                        if not self.feasible(dst, t + 1):
-                            workable = False
-                            break
-                        children.append((signal, BeliefState(dst, tuple(members), t + 1)))
-                    if workable:
-                        out.append((Prescription(a_m, tuple(zip(support, combo))), tuple(children)))
-        self._prescriptions[state] = out
-        return out
+        ``rows(e, dst)`` gives the silent and the overriding group rows of
+        effective move ``e`` to ``dst`` (None for STOP), lists over the
+        local subsets of the support whose entry 0, the empty group, is the
+        unit of ``combine``. A move that cannot finish in time takes no members.
+        """
+        splits = self._splits(mask.bit_count())
+        everyone = len(splits) - 1
+        groups = []
+        for e in self.machine_actions(node):
+            dst = self.edge_dst.get((node, e))  # None for STOP
+            groups.append(None if dst is not None and not self.feasible(dst, t + 1) else rows(e, dst))
+        overrides = None
+        for _, row in filter(None, groups):
+            overrides = row if overrides is None else [
+                join([combine(overrides[rest], row[sub]) for sub, rest in pairs]) for pairs in splits
+            ]
+        return [
+            overrides[everyone] if group is None
+            else join([combine(group[0][sub], overrides[rest]) for sub, rest in splits[everyone]])
+            for group in groups
+        ]
 
-    def layers(self) -> list[list[BeliefState]]:
-        """The states of each period from 1 on: the root, then every child of a prescription."""
-        layers = [[BeliefState(self.spec.start_node, self.support0, 1)]]
-        built = 1
-        while True:
-            following: dict[BeliefState, None] = {}
-            for state in layers[-1]:
-                for _, children in self.prescriptions(state):
-                    following.update((child, None) for _, child in children if child is not None)
-            if not following:
-                return layers
-            layers.append(list(following))
-            built += len(following)
-            _check_state_guard(self.spec, len(layers), built, len(following))
-
-    def count(self, layers: list[list[BeliefState]]) -> int:
-        """Number of trees at the root, counted from the last period back."""
-        later: dict[BeliefState, int] = {}
-        for layer in reversed(layers):
+    def _induct(self, layers, rows, join, combine):
+        """Yield (t, {(node, mask): join of its fold}) from the last period back;
+        ``rows(later, node, mask, e, dst)`` reads period t + 1's values in ``later``."""
+        later: dict = {}
+        for t in range(len(layers) - 1, 0, -1):
             later = {
-                state: sum(
-                    math.prod(later[child] for _, child in children if child is not None)
-                    for _, children in self.prescriptions(state)
-                )
-                for state in layer
+                key: join(self._fold(*key, t, functools.partial(rows, later, *key), join, combine))
+                for key in layers[t]
             }
-        return later[layers[0][0]]
+            yield t, later
 
-    def minimize(self, layers: list[list[BeliefState]]) -> tuple[Fraction, list[PolicyTree]]:
+    def tree_count(self, layers: list[dict]) -> int:
+        """Number of trees at the root, by (+, ×) over the splits."""
+
+        def rows(later, node, mask, e, dst):
+            row = [1] + [1 if dst is None else later[(dst, sub)] for sub in self._subsets(mask)[1][1:]]
+            return row, row
+
+        for _, counts in self._induct(layers, rows, sum, operator.mul):
+            pass
+        return next(iter(counts.values()))  # period 1 holds the root alone
+
+    def minimize(self, layers: list[dict]) -> tuple[Fraction, list[PolicyTree]]:
         """The least aggregate value and every tree reaching it, in canonical order.
 
         A tree's cost vector holds each type's criterion, in integers over
-        one common scale: its prescription's own stage costs (fee on
-        override) plus, per live signal group, the vector of the subtree
-        the group follows. From the last period back, each state's table
-        holds the distinct vectors its trees reach: per prescription, the
-        own vector plus the Minkowski sum of the live children's tables.
-        The groups' supports are disjoint, so a prescription's vector
-        splits into its children's vectors in one way only: each child's
-        is the vector's entries on that child's support. How many trees
-        reach a vector is not kept; :meth:`count` gives their total, which
-        the guard needs before this search starts.
+        ``denominator``: per signal group, its members' stage costs (fee on
+        override) plus the vector of the subtree the group follows. Each
+        vector is packed into one integer, type k's entry times
+        2**(width·k), where 2**(width - 1) exceeds the number of periods
+        times the largest |stage| + fee. Groups have disjoint supports, so a
+        prescription's vector is the sum of its groups', and (∪, Minkowski
+        sum) over the splits gives each state's distinct vectors, from the
+        last period back, but not how many trees reach each.
 
         Each distinct root vector is priced once, as an integer dot product
         (:func:`_integer_pricer`), and only the least price becomes a
-        ``Fraction``. The optimal vectors are then split into the (state,
-        vector) pairs they need, from the first period on, and only those
-        pairs' trees are built, from the last period back, each next to its
-        key. Sorting the root's trees by key gives the canonical order.
+        ``Fraction``. The optimal vectors are split back down, from the
+        first period on, by (concatenation, product) over the same splits
+        into the prescriptions and (state, vector) pairs they need. Only
+        those pairs' trees are built, from the last period back, and sorting
+        the root's trees by key gives the canonical order.
         """
-        scale, fee, stage = self.scaled_stages(dict.fromkeys(self.support0, 1))
-        position = {i: k for k, i in enumerate(self.support0)}
-        width = len(self.support0)
-        owns: dict[BeliefState, list[tuple[int, ...]]] = {}
-        tables: dict[BeliefState, set[tuple[int, ...]]] = {}
-        for layer in reversed(layers):
-            for state in layer:
-                owns[state], table = [], set()
-                for presc, children in self.prescriptions(state):
-                    own = [0] * width
-                    for i, signal in presc.human:
-                        k = position[i]
-                        if signal == SILENT:
-                            own[k] = stage[(state.node, presc.machine)][k]
-                        else:
-                            own[k] = stage[(state.node, signal)][k] + fee[k]
-                    own = tuple(own)
-                    owns[state].append(own)
-                    sums = {own}
-                    for _, child in children:
-                        if child is not None:
-                            sums = {tuple(map(operator.add, v, w)) for v in sums for w in tables[child]}
-                    table |= sums
-                tables[state] = table
+        bound = len(layers) * max(abs(c) + self.charge for row in self.costs.values() for c in row)
+        width = bound.bit_length() + 1
+        _, fee, stage = self.scaled_stages({i: 1 << width * k for k, i in enumerate(self.support0)})
+        half, full = 1 << width - 1, (1 << width) - 1
 
-        root = layers[0][0]
+        def unpack(v: int) -> list[int]:
+            entries = []
+            for _ in self.support0:
+                entries.append(((v + half) & full) - half)
+                v = (v - entries[-1]) >> width
+            return entries
+
+        def rows(later, node, mask, e, dst):
+            # per member set, its group vectors, each mapped to its subtree's (0 after STOP)
+            _, members, lowest, _ = self._subsets(mask)
+            own, charged = [0] * len(members), [0] * len(members)
+            silent, override = [{0: 0}], [{0: 0}]
+            for sub in range(1, len(members)):
+                rest, k = lowest[sub]
+                own[sub] = own[rest] + stage[(node, e)][k]
+                charged[sub] = charged[rest] + stage[(node, e)][k] + fee[k]
+                tails = (0,) if dst is None else later[(dst, members[sub])]
+                silent.append({own[sub] + w: w for w in tails})
+                override.append({charged[sub] + w: w for w in tails})
+            return silent, override
+
+        tables = dict(self._induct(layers, rows, *_UNION_MINKOWSKI))
         price, denominator = _integer_pricer(
             self.spec.machine_aggregator, [self.weights[i] for i in self.support0]
         )
-        prices = {v: price(v) for v in tables[root]}
+        prices = {v: price(unpack(v)) for v in next(iter(tables[1].values()))}
         best = min(prices.values())
 
-        # which prescriptions, and which child vectors, give each needed vector
-        needed = {root: {v for v, p in prices.items() if p == best}}
-        splits: dict[tuple[BeliefState, tuple[int, ...]], list] = {}
-        for layer in layers:
-            for state in layer:
-                for vector in needed.get(state, ()):
-                    splits[(state, vector)] = found = []
-                    for index, (presc, children) in enumerate(self.prescriptions(state)):
-                        rest = list(map(operator.sub, vector, owns[state][index]))
-                        parts = []
-                        for signal, child in children:
-                            if child is None:
-                                parts.append((signal, None, None))
-                                continue
-                            part = [0] * width
-                            for i in child.support:
-                                k = position[i]
-                                part[k], rest[k] = rest[k], 0
-                            part = tuple(part)
-                            if part not in tables[child]:
-                                break
-                            parts.append((signal, child, part))
-                        else:
-                            if not any(rest):  # STOP groups add nothing
-                                found.append((index, presc, parts))
-                                for _, child, part in parts:
-                                    if child is not None:
-                                        needed.setdefault(child, set()).add(part)
-        built: dict[tuple[BeliefState, tuple[int, ...]], list[tuple[tuple, PolicyTree]]] = {}
-        for layer in reversed(layers):
-            for state in layer:
-                for vector in needed.get(state, ()):
-                    built[(state, vector)] = trees = []
-                    for index, presc, parts in splits[(state, vector)]:
-                        signals = [signal for signal, _, _ in parts]
-                        options = [
-                            [((), None)] if child is None else built[(child, part)]
-                            for _, child, part in parts
-                        ]
-                        for chosen in itertools.product(*options):
-                            trees.append(
-                                (
-                                    (index, *(key for key, _ in chosen)),
-                                    PolicyTree(presc, tuple(zip(signals, [t for _, t in chosen]))),
-                                )
-                            )
-        optimal = sorted(
-            (pair for v in needed[root] for pair in built[(root, v)]), key=operator.itemgetter(0)
-        )
-        return Fraction(best, scale * denominator), [tree for _, tree in optimal]
+        known = functools.cache(lambda t, node, mask, e, dst: rows(tables.get(t + 1), node, mask, e, dst))
+        queue = [(1, *next(iter(layers[1])), v) for v, p in prices.items() if p == best]
+        ways = dict.fromkeys(queue)  # per (period, node, mask, vector): (machine action, groups) pairs
+        for key in queue:
+            t, node, mask, vector = key
+            _, members, lowest, _ = self._subsets(mask)
+            entries, part = unpack(vector), [0] * len(members)
+            for sub in range(1, len(members)):
+                rest, k = lowest[sub]
+                part[sub] = part[rest] + (entries[k] << width * k)
+
+            def split(e, dst):
+                # a group fits when the vector's entries on its members are one of its vectors
+                return [
+                    [[()]] + [
+                        [((sub, signal, dst, row[sub][part[sub]]),)] if part[sub] in row[sub] else []
+                        for sub in range(1, len(members))
+                    ]
+                    for signal, row in zip((SILENT, e), known(t, node, mask, e, dst))
+                ]
+
+            found = self._fold(node, mask, t, split, *_CONCATENATION_PRODUCT)
+            acts = self.machine_actions(node)
+            ways[key] = [(a_m, groups) for a_m, fits in zip(acts, found) for groups in fits]
+            for _, groups in ways[key]:
+                for sub, _, dst, w in groups:
+                    if dst is not None and (t + 1, dst, members[sub], w) not in ways:
+                        ways[(t + 1, dst, members[sub], w)] = None
+                        queue.append((t + 1, dst, members[sub], w))
+        built: dict[tuple, list[tuple[tuple, PolicyTree]]] = {}
+        for key in reversed(queue):  # the next period's trees first
+            t, node, mask, _ = key
+            support, members, _, _ = self._subsets(mask)
+            built[key] = trees = []
+            for a_m, groups in ways[key]:
+                groups = sorted(groups, key=lambda g: g[0] & -g[0])  # children by their first member
+                signals = [next(g[1] for g in groups if g[0] >> j & 1) for j in range(len(support))]
+                presc = Prescription(a_m, tuple(zip(support, signals)))
+                head = (_HUMAN_RANK[a_m], tuple(map(_HUMAN_RANK.__getitem__, signals)))
+                options = [[((), None)] if dst is None else built[(t + 1, dst, members[sub], w)]
+                           for sub, _, dst, w in groups]
+                for chosen in itertools.product(*options):
+                    children = tuple((g[1], tree) for g, (_, tree) in zip(groups, chosen))
+                    trees.append(((*head, *(k for k, _ in chosen)), PolicyTree(presc, children)))
+        roots = [pair for key in queue if key[0] == 1 for pair in built[key]]
+        optimal = sorted(roots, key=operator.itemgetter(0))
+        return Fraction(best, self.denominator * denominator), [tree for _, tree in optimal]
+
+
+# the (join, combine) pairs of _Oracle._fold besides (+, ×)
+_UNION_MINKOWSKI = (lambda parts: set().union(*parts), lambda a, b: {v + w for v in a for w in b})
+_CONCATENATION_PRODUCT = (lambda parts: sum(parts, []), lambda a, b: [x + y for x in a for y in b])
 
 
 def _check_state_guard(spec: GameSpec, period: int, built: int, width: int) -> None:
@@ -615,8 +610,11 @@ def _check_state_guard(spec: GameSpec, period: int, built: int, width: int) -> N
 
 def count_deterministic_policies(spec: GameSpec) -> int:
     """Number of deterministic coordinator decision trees for an instance."""
+    problems = validate_spec(spec)
+    if problems:
+        raise SpecValidationError(problems)
     oracle = _Oracle(spec)
-    return oracle.count(oracle.layers())
+    return oracle.tree_count(oracle.layers())
 
 
 def brute_force_oracle(spec: GameSpec, guard: int = DEFAULT_POLICY_GUARD) -> OracleResult:
@@ -624,34 +622,35 @@ def brute_force_oracle(spec: GameSpec, guard: int = DEFAULT_POLICY_GUARD) -> Ora
 
     Ground truth for :func:`solve_dp`, and the solve path for CVaR
     aggregation (which does not decompose across belief splits). The
-    policies are counted period by period from the horizon back, and
-    ``guard`` is checked against that count M before any work that grows
-    with it. Any aggregator is a function of the per-type criteria alone,
-    so the search runs over each state's distinct per-type cost vectors
-    rather than over its trees (see :meth:`_Oracle.minimize`), and each
-    distinct root vector is priced once, exactly, as an integer dot product
-    with the prior weights or, under CVaR, with the types' shares of the
-    tail. The optimal trees come in the canonical order of an enumeration,
-    and no other tree is built.
+    policies are counted period by period from the horizon back, by the
+    solver's subset splits over the solver's states, and ``guard`` is
+    checked against that count M before any work that grows with it. Any
+    aggregator is a function of the per-type criteria alone, so the search
+    runs over each state's distinct per-type cost vectors rather than over
+    its trees (see :meth:`_Oracle.minimize`), and each distinct root vector
+    is priced once, exactly, as an integer dot product with the prior
+    weights or, under CVaR, with the types' shares of the tail. The optimal
+    trees come in the canonical order of an enumeration, and no other tree
+    is built. A validated spec has at least one tree.
 
     The guard also bounds that search. Every state in the layers has at
-    least one tree and lies on some root tree, so its tree count is at most
-    M. A state's distinct vectors, and every partial Minkowski sum of a
-    prescription, number at most its trees. So no table holds more than M
-    entries, a state costs at most K·M vector additions for K types, and
-    wall time needs no bound besides ``guard`` and, on a cycle, the state
-    guard that the layers check before they are counted.
+    least one tree and lies on some root tree, so it has at most M trees
+    and at most M distinct vectors. A split pairs the vectors of a part of
+    a member set with those of the group that takes the rest; their
+    supports are disjoint, so distinct pairs give distinct sums. Completed
+    by one fixed vector of the members left out, riding silently behind a
+    move that can finish, distinct sums are distinct vectors of the state,
+    so no split forms more than M pairs. A state then costs at most about
+    (|A_h|·3^K + |A_m|·2^K)·M vector additions for K types, and wall time
+    needs no bound besides ``guard`` and, on a cycle, the state guard that
+    the layers check before they are counted.
     """
     problems = validate_spec(spec)
     if problems:
         raise SpecValidationError(problems)
     oracle = _Oracle(spec)
     layers = oracle.layers()
-    n = oracle.count(layers)
-    if n == 0:
-        raise HorizonError(
-            f"no policy can finish from {spec.start_node!r} within horizon {spec.horizon_T}"
-        )
+    n = oracle.tree_count(layers)
     if n > guard:
         raise EnumerationGuardError(
             f"{_count_text(n)} candidate policies exceed the enumeration guard of {guard}", bound=guard

@@ -28,10 +28,6 @@ class UnreachableTerminalError(RiskGamesError, ValueError):
     """No terminal can be reached and stopped at within the horizon."""
 
 
-class HorizonError(RiskGamesError, ValueError):
-    """The horizon is too short for the play to finish from some reachable state."""
-
-
 class UnsupportedAggregatorError(RiskGamesError, ValueError):
     """The requested machine aggregator is outside what the exact solver supports."""
 

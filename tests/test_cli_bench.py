@@ -319,16 +319,18 @@ def test_cli_long_horizon_cycle_solves_and_verifies(tmp_path, capsys):
 
 def test_cli_long_horizon_cycle_cvar_hits_enumeration_guard(tmp_path, capsys):
     # the policy count, thousands of digits long, is reached period by
-    # period before the guard stops the enumeration
-    path = _cycle_scenario(tmp_path)
-    rc = main(["--scenario", path, "--aggregator", "cvar:0.5", "solve"])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.out == ""
-    assert captured.err == (
-        "error: EnumerationGuardError: at least 2^7169 candidate policies exceed "
-        "the enumeration guard of 10000000\n"
-    )
+    # period before the guard stops the enumeration; an edge back from node
+    # 2 makes 26,971 belief states, still under the state guard
+    for extra_edges, bits in (((), 7169), ([("2", "1", "W")], 10507)):
+        path = _cycle_scenario(tmp_path, extra_edges=extra_edges)
+        rc = main(["--scenario", path, "--aggregator", "cvar:0.5", "solve"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: EnumerationGuardError: at least 2^{bits} candidate policies exceed "
+            "the enumeration guard of 10000000\n"
+        )
 
 
 def test_cli_long_horizon_cycle_baselines_with_overrides(tmp_path, capsys):
@@ -395,10 +397,11 @@ def test_cli_huge_horizon_negative_cycle_hits_the_state_guard(argv, tmp_path, ca
         )
     path = _cycle_scenario(tmp_path, horizon=10**400, mean=-1, var=0)
     rc = main(["--scenario", path, *argv])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert rc == 1
-    assert err.startswith("error: EnumerationGuardError: ")
-    assert err.count("\n") == 1 and err.endswith("\n")
+    assert captured.out == ""
+    assert captured.err.startswith("error: EnumerationGuardError: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 def test_cli_aggregator_flag_is_validated(capsys):

@@ -1,4 +1,3 @@
-import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import make_diamond
 from instance_gen import oracle_sized_game, random_game, seeded_lattice
-from riskgames import EXPECTATION, Aggregator
+from reference_oracle import product_count, reference_induction, reference_oracle, states
+from riskgames import EXPECTATION, Aggregator, CostDistribution, Edge, GameSpec
 from riskgames.baseline_planners import (
     RealizedPlan,
     average_theta,
@@ -23,7 +23,6 @@ from riskgames.coordinator_solver import (
     Prescription,
     _Engine,
     _integer_pricer,
-    _Oracle,
     aggregate,
     brute_force_oracle,
     count_deterministic_policies,
@@ -113,39 +112,6 @@ def test_dp_equals_oracle_on_graph_b_like_small_instance(graph_b):
     assert policy.value[policy.root] == result.value
 
 
-def reference_induction(spec):
-    """Backward induction keeping the first minimum in _Oracle's canonical order.
-
-    Stages are priced from the spec's exact moments, not the engine's integer tables.
-    """
-    oracle = _Oracle(spec)
-    decision, value, transitions = {}, {}, {}
-    moments = {(node, d): e.cost for node, out in spec.out_edges.items() for d, e in out.items()}
-    moments.update(((node, STOP), cost) for node, cost in spec.terminals.items())
-
-    def solve(state):
-        if state not in value:
-            best = None
-            for presc, children in oracle.prescriptions(state):
-                total = sum(solve(child) for _, child in children if child is not None)
-                for signal, members in oracle.groups_of(state.support, presc.human_map):
-                    effective = presc.machine if signal == SILENT else signal
-                    cost = moments[(state.node, effective)]
-                    for i in members:
-                        stage = cost.exact_mean + spec.exact_types[i] * cost.exact_variance
-                        if signal != SILENT:
-                            stage += spec.exact_transmission_cost
-                        total += oracle.weights[i] * stage
-                if best is None or total < best[0]:
-                    best = (total, presc, children)
-            value[state], decision[state], children = best
-            transitions.update(((state, signal), child) for signal, child in children)
-        return value[state]
-
-    solve(BeliefState(spec.start_node, oracle.support0, 1))
-    return decision, value, transitions
-
-
 GAME_FAMILIES = {
     "oracle_sized": (oracle_sized_game, 50),
     "random": (random_game, 20),
@@ -166,30 +132,36 @@ def test_dp_equals_reference_induction_with_tie_break(family):
         assert (policy.decision, policy.value, policy.transitions) == reference_induction(spec), seed
 
 
-def reference_oracle(spec):
-    """Every tree in _Oracle's canonical order, each priced by evaluate_policy_tree.
+def _cycle(horizon: int, extra_edges=()) -> GameSpec:
+    """The 3-node cycle 1 -> 2 -> 3 -> 1 (plus ``extra_edges``), terminal at 3."""
+    edges = (("1", "2", "E"), ("2", "3", "E"), ("3", "1", "S"), *extra_edges)
+    return GameSpec(
+        nodes=("1", "2", "3"),
+        edges=tuple(Edge(src, dst, d, CostDistribution(1, 2)) for src, dst, d in edges),
+        terminals={"3": CostDistribution(0, 0)},
+        start_node="1",
+        horizon_T=horizon,
+        types=(0.01, 0.5),
+        prior=(0.5, 0.5),
+        transmission_cost=0.5,
+    )
 
-    evaluate_policy_tree prices a tree by each type's forward playout over
-    the whole route, not from the subtree cost vectors the oracle sums.
-    """
-    oracle = _Oracle(spec)
 
-    def trees(state):
-        for presc, children in oracle.prescriptions(state):
-            signals = [signal for signal, _ in children]
-            options = [[None] if child is None else list(trees(child)) for _, child in children]
-            for chosen in itertools.product(*options):
-                yield PolicyTree(presc, tuple(zip(signals, chosen)))
+def test_layers_and_count_equal_the_product_enumeration():
+    # the engine's subset-split states and tree count against trying every
+    # prescription, up to five types and on cycles, where states repeat nodes
+    specs = [(family, seed, make(seed)) for family, (make, seeds) in GAME_FAMILIES.items() for seed in range(seeds)]
+    specs += [("cycle", 0, _cycle(12)), ("cycle", 1, _cycle(12, [("2", "1", "W")]))]
+    for family, seed, spec in specs:
+        layers = [set(layer.values()) for layer in _Engine(spec).layers()[1:]]
+        assert layers == states(spec), (family, seed)
+        assert count_deterministic_policies(spec) == product_count(spec), (family, seed)
 
-    best, minimizers, count = None, [], 0
-    for tree in trees(BeliefState(spec.start_node, oracle.support0, 1)):
-        count += 1
-        value, _ = evaluate_policy_tree(spec, tree)
-        if best is None or value < best:
-            best, minimizers = value, []
-        if value == best:
-            minimizers.append(tree)
-    return OracleResult(value=best, policies=tuple(minimizers), policy_count=count)
+
+def test_oracle_rejects_a_horizon_too_short_to_finish(graph_a):
+    # every feasible state has a feasible move, so a validated spec has a tree
+    with pytest.raises(SpecValidationError):
+        brute_force_oracle(replace(graph_a, horizon_T=2))
 
 
 @pytest.mark.parametrize(
