@@ -24,8 +24,7 @@ from .game_model import (
     STOP,
     Edge,
     GameSpec,
-    as_fraction,
-    path_criterion,
+    _path_end,
     theta_of,
 )
 
@@ -213,16 +212,17 @@ def risk_adjusted_shortest_path(spec: GameSpec, theta) -> PlannerResult:
         edge = spec.out_edges[node][act]
         path.append(edge)
         node, r = edge.dst, r - 1
-    per_type = {i: path_criterion(spec, path, 0, th) for i, th in enumerate(spec.exact_types)}
+    # the route's exact moments, from spec.integer_costs; equal to path_criterion per type
+    den, _, moments = spec.integer_costs
+    moves = [(e.src, e.direction) for e in path] + [(_path_end(spec, path), STOP)]
+    mean, var = (Fraction(sum(moments[move][j] for move in moves), den) for j in (0, 1))
+    per_type = {i: mean + th * var for i, th in enumerate(spec.exact_types)}
     return PlannerResult(path=tuple(path), per_type_criterion=per_type, planner_theta=t)
 
 
 def average_theta(spec: GameSpec) -> Fraction:
     """Prior-weighted mean risk-aversion coefficient."""
-    return sum(
-        (as_fraction(w) * th for w, th in zip(spec.prior, spec.exact_types)),
-        start=Fraction(0),
-    )
+    return sum((w * spec.exact_types[i] for i, w in spec.exact_prior().items()), start=Fraction(0))
 
 
 def best_case_value(spec: GameSpec) -> Fraction:
@@ -232,12 +232,8 @@ def best_case_value(spec: GameSpec) -> Fraction:
     benchmark floor every interactive policy is measured against.
     """
     total = Fraction(0)
-    for i, w in enumerate(spec.prior):
-        wf = as_fraction(w)
-        if wf == 0:
-            continue
-        plan = risk_adjusted_shortest_path(spec, spec.exact_types[i])
-        total += wf * plan.per_type_criterion[i]
+    for i, w in spec.exact_prior().items():
+        total += w * risk_adjusted_shortest_path(spec, spec.exact_types[i]).per_type_criterion[i]
     return total
 
 

@@ -228,8 +228,14 @@ class _Engine:
         of them is a group's child under some feasible prescription, which
         is the set an exhaustive search visits. So no layer follows an empty one,
         and on a cycle :func:`_check_state_guard` bounds the layers. Only the
-        solver and the oracle build them, once per solve.
+        solver and the oracle read them. They depend on the prior only
+        through its support, so they are kept by support in the spec's
+        ``layer_memo``, which :func:`~riskgames.game_model.with_prior` copies
+        share; layers that pass the guard are not kept.
         """
+        layers = self.spec.layer_memo.get(self.support0)
+        if layers is not None:
+            return layers
         root = BeliefState(self.spec.start_node, self.support0, 1)
         layers = [{}, {(root.node, (1 << len(root.support)) - 1): root}]
         built = 1
@@ -248,6 +254,7 @@ class _Engine:
             layers.append(nxt)
             built += len(nxt)
             _check_state_guard(self.spec, t + 1, built, len(nxt))
+        self.spec.layer_memo[self.support0] = layers
         return layers
 
     def _subsets(self, mask: int) -> tuple:
@@ -903,7 +910,9 @@ def _machine_best_response(engine: _Engine, policy: CoordinatorPolicy, budget: _
     one-agent problem over the same belief states. Costs are the policy's
     weighted stage costs as integers; only the root's best becomes a ``Fraction``.
     """
-    scale, fee, stage = engine.scaled_stages(policy.weights)
+    # the engine's tables, unless the policy was solved under another prior than the spec's
+    same = policy.weights == engine.weights
+    scale, fee, stage = (engine.scale, engine.fee, engine.stage) if same else engine.scaled_stages(policy.weights)
     position = {i: k for k, i in enumerate(sorted(policy.weights))}
 
     def options(state: BeliefState, presc: Prescription):

@@ -160,7 +160,9 @@ def prior_sweep(
     neutral baseline (plain or with overrides) do not depend on the prior,
     so they are planned once per sweep and weighted by each point's prior;
     only the coordinator problem and the average baseline, whose theta bar
-    moves with the prior, are re-solved at every point.
+    moves with the prior, are re-solved at every point, each on a
+    :func:`with_prior` copy that shares the spec's prior-free tables and
+    the solver's layers, which are built once per prior support.
     """
     if not 0 <= sweep_type < len(spec.types):
         raise ValueError(f"sweep type index {sweep_type} out of range")

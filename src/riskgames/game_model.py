@@ -124,14 +124,21 @@ class Aggregator:
 EXPECTATION = Aggregator.expectation()
 
 
+# GameSpec's cached tables that read no prior weight; with_prior's copy shares them
+PRIOR_FREE_TABLES = ("out_edges", "predecessors", "exact_transmission_cost", "exact_types",
+                     "integer_costs", "steps_to_terminal", "layer_memo")
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """The full game tuple instantiated on a directed graph.
 
     Frozen: a changed spec is a new one (``dataclasses.replace``), which
-    must be validated again. The engine tables are computed on first read
-    and kept in the instance dict. All reader methods are pure, so a spec
-    may be shared freely across threads.
+    must be validated again and shares no table with its source. The
+    engine tables are computed on first read and kept in the instance
+    dict; a :func:`with_prior` copy shares those in
+    :data:`PRIOR_FREE_TABLES` and parses its own prior. All reader methods
+    are pure, so a spec may be shared freely across threads.
     """
 
     nodes: tuple[str, ...]
@@ -208,6 +215,12 @@ class GameSpec:
                     dist[u] = dist[v] + 1
                     queue.append(u)
         return dist
+
+    @cached_property
+    def layer_memo(self) -> dict:
+        """The solver's period layers per prior support, filled by
+        ``coordinator_solver._Engine.layers``: they read no prior weight."""
+        return {}
 
     def is_terminal(self, node: str) -> bool:
         return node in self.terminals
@@ -300,6 +313,18 @@ def path_criterion(spec: GameSpec, path: Sequence[Edge], overrides: int, theta) 
     if overrides < 0:
         raise ValueError("override count must be non-negative")
     t = theta_of(theta)
+    end = _path_end(spec, path)
+    mean = sum((e.cost.exact_mean for e in path), start=Fraction(0))
+    var = sum((e.cost.exact_variance for e in path), start=Fraction(0))
+    term = spec.terminals[end]
+    mean += term.exact_mean + spec.exact_transmission_cost * overrides
+    var += term.exact_variance
+    return mean + t * var
+
+
+def _path_end(spec: GameSpec, path: Sequence[Edge]) -> str:
+    """The terminal a path ends at; PathError unless it runs from the start
+    node to a terminal, connected, with a period to spare for STOP."""
     if path:
         if path[0].src != spec.start_node:
             raise PathError(f"path starts at {path[0].src!r}, expected {spec.start_node!r}")
@@ -313,12 +338,7 @@ def path_criterion(spec: GameSpec, path: Sequence[Edge], overrides: int, theta) 
         raise PathError(f"path ends at non-terminal node {end!r}")
     if len(path) + 1 > spec.horizon_T:
         raise PathError(f"path needs {len(path) + 1} periods, horizon is {spec.horizon_T}")
-    mean = sum((e.cost.exact_mean for e in path), start=Fraction(0))
-    var = sum((e.cost.exact_variance for e in path), start=Fraction(0))
-    term = spec.terminals[end]
-    mean += term.exact_mean + spec.exact_transmission_cost * overrides
-    var += term.exact_variance
-    return mean + t * var
+    return end
 
 
 def validate_spec(spec: GameSpec) -> list[str]:
@@ -390,5 +410,14 @@ def validate_spec(spec: GameSpec) -> list[str]:
 
 
 def with_prior(spec: GameSpec, prior: Sequence[float]) -> GameSpec:
-    """Copy of a game spec with a replaced prior (used by sweeps and tests)."""
-    return replace(spec, prior=tuple(float(w) for w in prior))
+    """Copy of a game spec with a replaced prior (used by sweeps and tests).
+
+    The copy shares, as the same objects, the tables of
+    :data:`PRIOR_FREE_TABLES` that the source has computed, and the
+    source's ``layer_memo`` in any case, so that every copy of one source
+    reuses the solver's layers; it parses its own prior.
+    """
+    copy = replace(spec, prior=tuple(float(w) for w in prior))
+    spec.layer_memo  # created on the source for every copy to share
+    vars(copy).update((name, vars(spec)[name]) for name in PRIOR_FREE_TABLES if name in vars(spec))
+    return copy

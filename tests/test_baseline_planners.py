@@ -251,6 +251,21 @@ def test_planners_equal_reference_baselines():
             assert neutral_override_plan(spec, i) == reference.neutral_override_plan(spec, i), (n, i)
 
 
+def test_planner_prices_every_type_as_path_criterion():
+    # the planner sums the route's integer moments once; a fee and decimal
+    # types change the common denominator of spec.integer_costs
+    specs = [
+        random_game(seed, max_nodes=8, k_types=3, max_extra_edges=8, max_slack=4)
+        for seed in range(200)
+    ]
+    for n, spec in enumerate(specs):
+        spec = replace(spec, transmission_cost=0.35, types=(0.07, 0.375, 1.25)[:len(spec.types)])
+        for theta in (0, *spec.types, average_theta(spec)):
+            plan = risk_adjusted_shortest_path(spec, theta)
+            for i, th in enumerate(spec.types):
+                assert plan.per_type_criterion[i] == path_criterion(spec, plan.path, 0, th), (n, theta, i)
+
+
 def _cycle(mean, var, horizon):
     """The 3-node cycle 1 -> 2 -> 3 -> 1, every edge with the given moments, stopping at 3."""
     return GameSpec(

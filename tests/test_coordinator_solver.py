@@ -38,7 +38,7 @@ from riskgames.errors import (
     SpecValidationError,
     UnsupportedAggregatorError,
 )
-from riskgames.game_model import SILENT, STOP, as_fraction, path_criterion
+from riskgames.game_model import SILENT, STOP, as_fraction, path_criterion, with_prior
 
 
 def test_graph_a_divergence_narrative(graph_a):
@@ -452,6 +452,17 @@ def _with_worse_machine_action(spec, policy, state, action) -> CoordinatorPolicy
     )
     root = sum(w * playout(spec, worse, i).criterion for i, w in policy.weights.items())
     return replace(worse, value={**policy.value, policy.root: root})
+
+
+def test_verify_weighs_the_machine_by_the_policy_weights(graph_a):
+    # the verifier's engine holds stage costs weighted by the spec's prior;
+    # a policy solved under another prior is checked under its own weights
+    other = with_prior(graph_a, (0.3, 0.7))
+    policy = solve_dp(other)
+    worse = _with_worse_machine_action(other, policy, BeliefState("3", (0, 1), 3), "S")
+    assert not verify_equilibrium(other, worse).machine_ic.passed
+    for checked in (policy, worse):
+        assert verify_equilibrium(graph_a, checked) == verify_equilibrium(other, checked)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from instance_gen import random_game
-from riskgames import Aggregator
+from riskgames import Aggregator, evaluation
 from riskgames.baseline_planners import (
     baseline_policy,
     best_case_value,
@@ -206,6 +206,30 @@ def test_prior_sweep_equals_per_point_replanning(neutral_with_overrides):
         for axis in range(len(spec.types)):
             rows = prior_sweep(spec, axis, grid, neutral_with_overrides)
             assert rows == _replanned_sweep(spec, axis, grid, neutral_with_overrides), (seed, axis)
+
+
+def _unshared_copy(spec, prior):
+    """with_prior's copy built by dataclasses.replace alone: it shares no table."""
+    return replace(spec, prior=tuple(float(w) for w in prior))
+
+
+def test_shared_tables_change_no_sweep_row_or_solver_table(monkeypatch):
+    grid = (0.0, 0.2, 0.5, 1.0)
+    for seed in range(40):
+        spec = random_game(seed, k_types=3)
+        if len(spec.types) < 2:  # a single type cannot take mass 0
+            continue
+        for axis in range(len(spec.types)):
+            for neutral_with_overrides in (False, True):
+                rows = prior_sweep(spec, axis, grid, neutral_with_overrides)
+                with monkeypatch.context() as patch:
+                    patch.setattr(evaluation, "with_prior", _unshared_copy)
+                    assert prior_sweep(spec, axis, grid, neutral_with_overrides) == rows, (seed, axis)
+            for p in grid:
+                prior = _sweep_priors(spec, axis, as_fraction(p))
+                shared, fresh = solve_dp(with_prior(spec, prior)), solve_dp(_unshared_copy(spec, prior))
+                assert (shared.root, shared.decision, shared.value, shared.transitions) == (
+                    fresh.root, fresh.decision, fresh.value, fresh.transitions), (seed, axis, p)
 
 
 def test_prior_sweep_validates_inputs(graph_b):

@@ -1,13 +1,16 @@
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
 from conftest import make_diamond
 from riskgames import CostDistribution, Edge, GameSpec
-from riskgames.errors import IllegalMoveError, PathError
+from riskgames.coordinator_solver import solve_dp
+from riskgames.errors import EnumerationGuardError, IllegalMoveError, PathError
 from riskgames.game_model import (
     EXPECTATION,
+    PRIOR_FREE_TABLES,
     SILENT,
     STOP,
     Aggregator,
@@ -244,3 +247,40 @@ def test_with_prior_replaces_only_prior(graph_a):
     a, b = _spec_fields(graph_a), _spec_fields(swapped)
     a.pop("prior"), b.pop("prior")
     assert a == b
+
+
+def test_with_prior_shares_the_prior_free_tables():
+    spec = make_diamond(q=0.3, types=(0.05, 0.375))
+    solve_dp(spec)  # computes every cached table, the layers of the full support included
+    cached = {name for name, attr in vars(GameSpec).items() if isinstance(attr, cached_property)}
+    assert cached == {*PRIOR_FREE_TABLES, "_exact_prior"}
+    assert cached <= set(vars(spec))
+    swapped = with_prior(spec, (0.25, 0.75))
+    for name in PRIOR_FREE_TABLES:
+        assert vars(swapped)[name] is vars(spec)[name], name
+    assert "_exact_prior" not in vars(swapped)
+    assert swapped.exact_prior() == {0: Fraction(1, 4), 1: Fraction(3, 4)}
+    layers = spec.layer_memo[(0, 1)]
+    solve_dp(swapped)  # same support: the layers are read back, not rebuilt
+    assert list(spec.layer_memo) == [(0, 1)] and spec.layer_memo[(0, 1)] is layers
+    # a fresh source gets the layer memo its copies share; nothing else is computed for them
+    fresh = make_diamond()
+    assert cached & set(vars(with_prior(fresh, (1.0, 0.0)))) == {"layer_memo"}
+    assert not cached & set(vars(replace(spec, prior=(0.25, 0.75))))
+
+
+def test_layers_past_the_state_guard_are_not_kept():
+    cycle = GameSpec(
+        nodes=("1", "2", "3"),
+        edges=tuple(Edge(a, b, d, CostDistribution(1, 2))
+                    for a, b, d in (("1", "2", "E"), ("2", "3", "E"), ("3", "1", "S"), ("2", "1", "W"))),
+        terminals={"3": CostDistribution(0, 0)},
+        start_node="1",
+        horizon_T=10**400,
+        types=(0.01, 0.5),
+        prior=(0.5, 0.5),
+    )
+    for spec in (cycle, cycle, with_prior(cycle, (0.25, 0.75))):
+        with pytest.raises(EnumerationGuardError):
+            solve_dp(spec)
+    assert cycle.layer_memo == {}
