@@ -118,15 +118,15 @@ def enumerate_paths_oracle(spec: GameSpec, node_limit: int = PATH_ENUMERATION_NO
     return results
 
 
-def _induct(spec: GameSpec, theta: Fraction, fee: bool = False, machine=None):
+def _induct(spec: GameSpec, theta: Fraction, machine=None):
     """Backward induction over (node, periods left r = 1..T) on scaled integers.
 
     Returns ``action``: ``action[r][node]`` is the first strict minimum of the
     cost-to-go over STOP (at terminals), then the out-edges in canonical
     order, and is missing where no terminal can be reached in time. Every
-    option weighs mean + theta * variance, plus, with ``fee``, the spec's fee
-    on a move; given a ``machine`` table, a SILENT option that rides
-    ``machine[r][node]`` free of the fee comes first.
+    option weighs mean + theta * variance. Given a ``machine`` table, the
+    induction is a rider's answer to it: a SILENT option that rides
+    ``machine[r][node]`` comes first, and every other move pays the spec's fee.
 
     A worklist (label correcting, as in Bellman-Ford) picks the nodes a
     round re-evaluates: every node in round 1, then the predecessors of the
@@ -148,7 +148,7 @@ def _induct(spec: GameSpec, theta: Fraction, fee: bool = False, machine=None):
     # spec.integer_costs over theta's denominator: one common positive scale
     _, q, moments = spec.integer_costs
     weight = {key: m * theta.denominator + theta.numerator * v for key, (m, v) in moments.items()}
-    charge = q * theta.denominator if fee else 0
+    charge = 0 if machine is None else q * theta.denominator
     stop = {node: weight[(node, STOP)] for node in spec.terminals}
     moves = {node: {d: (e.dst, weight[(node, d)]) for d, e in out.items()}
              for node, out in spec.out_edges.items()}
@@ -271,7 +271,7 @@ def neutral_override_plans(spec: GameSpec, types: Iterable[int]) -> dict[int, Re
 
 def _override_plan(spec: GameSpec, machine: list[dict[str, str]], type_index: int) -> RealizedPlan:
     """One type's best response to the machine action table ``machine``."""
-    respond = _induct(spec, spec.exact_types[type_index], True, machine)
+    respond = _induct(spec, spec.exact_types[type_index], machine)
     node, r = spec.start_node, spec.horizon_T
     if node not in respond[-1]:
         raise UnreachableTerminalError(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -42,7 +43,13 @@ from .baseline_planners import (
     neutral_override_plans,
     risk_adjusted_shortest_path,
 )
-from .coordinator_solver import brute_force_oracle, playout, solve_dp, verify_equilibrium
+from .coordinator_solver import (
+    DEFAULT_DEVIATION_BUDGET,
+    brute_force_oracle,
+    playout,
+    solve_dp,
+    verify_equilibrium,
+)
 from .errors import (
     AggregatorFlagError,
     EquilibriumVerificationError,
@@ -420,7 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_verify = sub.add_parser("verify", help="check the equilibrium conditions of the solve")
-    p_verify.add_argument("--budget", type=int, default=1_000_000, help="deviation search budget")
+    p_verify.add_argument(
+        "--budget", type=int, default=DEFAULT_DEVIATION_BUDGET, help="deviation search budget"
+    )
 
     p_sweep = sub.add_parser("sweep", help="regret sweep over one prior axis, CSV output")
     p_sweep.add_argument("--axis", type=int, default=None, help="1-based type index to sweep")
@@ -455,11 +464,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             problems = validate_spec(sc.spec)
             if problems:
                 raise ScenarioError(problems)
-        return _COMMANDS[args.command](sc, args)
+        status = _COMMANDS[args.command](sc, args)
+        sys.stdout.flush()  # a reader that left early shows here, not at interpreter exit
     except RiskGamesError as exc:
         slug = type(exc).__name__
         print(f"error: {slug}: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # stdout's reader stopped early (`| head`): discard the rest of the output
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -25,7 +25,8 @@ groups' vectors, each a group's stage costs plus its subtree's vector, and
 the aggregator depends on nothing else. So each distinct root vector is
 priced once, as an integer dot product, and only the optimal trees are
 built. The equilibrium verifier runs one budgeted deviation search, on an
-explicit stack, for the machine and for each rider type.
+explicit stack, for the machine and for each rider type, and one verdict
+builder turns each agent's best deviation into its incentive check.
 
 Every forward evaluation of a policy, of any kind, is one walk:
 :func:`playout` follows one rider type's route from the start node and
@@ -930,11 +931,9 @@ def _machine_best_response(engine: _Engine, policy: CoordinatorPolicy, budget: _
             yield a_m, cost, children
 
     best, walk = _best_response(engine, policy, options, budget)
-    if best is None:
-        return None, ""
     moves = [(s, a) for s, a in walk.items() if a != policy.decision[s].machine]
     detail = "; ".join(f"period {s.period} at node {s.node!r}: play {a}" for s, a in moves)
-    return Fraction(best, scale), detail
+    return (None if best is None else Fraction(best, scale)), detail
 
 
 def _human_best_response(
@@ -957,14 +956,24 @@ def _human_best_response(
             yield a, cost, [] if effective == STOP else [policy.transitions.get((state, a))]
 
     best, walk = _best_response(engine, policy, options, budget)
-    if best is None:
-        return None, ""
     detail = ", ".join(f"({s.period}, {s.node!r}, {a})" for s, a in walk.items())
-    return Fraction(best, engine.denominator), detail
+    return (None if best is None else Fraction(best, engine.denominator)), detail
 
 
-def _check_belief_consistency(spec: GameSpec, policy: CoordinatorPolicy) -> CheckResult:
-    """Recompute every on-path belief transition through the Bayes filter."""
+def _incentive_check(name: str, passing: str, current: Fraction, best, failure: str) -> CheckResult:
+    """One agent's incentive verdict: it fails with ``failure`` when the
+    agent's best deviation value ``best`` is undefined (None) or lowers its
+    ``current`` value, by ``current - best``; otherwise it passes with
+    ``passing`` and no improvement."""
+    gain = None if best is None else current - best
+    if gain is not None and gain <= 0:
+        return CheckResult(name, True, passing, improvement=Fraction(0))
+    return CheckResult(name, False, failure, improvement=gain)
+
+
+def _belief_problem(spec: GameSpec, policy: CoordinatorPolicy) -> str | None:
+    """Recompute every on-path belief transition through the Bayes filter;
+    the first disagreement as text, or None when there is none."""
     weights = policy.weights
     queue = [policy.root]
     seen: set[BeliefState] = set()
@@ -975,9 +984,7 @@ def _check_belief_consistency(spec: GameSpec, policy: CoordinatorPolicy) -> Chec
         seen.add(state)
         presc = policy.decision.get(state)
         if presc is None:
-            return CheckResult(
-                "belief_consistency", False, f"policy undefined at reachable state {state}"
-            )
+            return f"policy undefined at reachable state {state}"
         slice_map = presc.human_map
         belief = Belief.from_weights({i: weights[i] for i in state.support})
         for signal in sorted(set(slice_map.values()), key=_HUMAN_RANK.__getitem__):
@@ -985,37 +992,23 @@ def _check_belief_consistency(spec: GameSpec, policy: CoordinatorPolicy) -> Chec
             effective = signal if signal != SILENT else presc.machine
             key = (state, signal)
             if key not in policy.transitions:
-                return CheckResult(
-                    "belief_consistency",
-                    False,
-                    f"transition missing at {state} for observed {signal!r}",
-                )
+                return f"transition missing at {state} for observed {signal!r}"
             stored = policy.transitions[key]
             if effective == STOP:
                 if stored is not None:
-                    return CheckResult(
-                        "belief_consistency",
-                        False,
-                        f"{state} observed {signal!r}: branch stops but successor {stored} stored",
-                    )
+                    return f"{state} observed {signal!r}: branch stops but successor {stored} stored"
                 continue
             edge = spec.out_edges[state.node].get(effective)
             if edge is None:
-                return CheckResult(
-                    "belief_consistency",
-                    False,
-                    f"{state}: effective move {effective!r} has no edge",
-                )
+                return f"{state}: effective move {effective!r} has no edge"
             expected = BeliefState(edge.dst, tuple(sorted(updated.support)), state.period + 1)
             if stored != expected:
-                return CheckResult(
-                    "belief_consistency",
-                    False,
+                return (
                     f"first inconsistent step: {state} observed {signal!r}: "
-                    f"stored {stored}, filter gives {expected}",
+                    f"stored {stored}, filter gives {expected}"
                 )
             queue.append(stored)
-    return CheckResult("belief_consistency", True, "all on-path updates match the filter")
+    return None
 
 
 def verify_equilibrium(
@@ -1037,22 +1030,12 @@ def verify_equilibrium(
     budget = _Budget(deviation_budget)
     root_value = policy.value[policy.root]
 
-    best_m, detail_m = _machine_best_response(engine, policy, budget)
-    if best_m is None:
-        machine_ic = CheckResult("machine_ic", False, "machine best response is undefined")
-    else:
-        gain = root_value - best_m
-        if gain > 0:
-            machine_ic = CheckResult(
-                "machine_ic",
-                False,
-                f"machine deviation lowers the objective from {root_value} to {best_m}: {detail_m}",
-                improvement=gain,
-            )
-        else:
-            machine_ic = CheckResult(
-                "machine_ic", True, "no improving machine deviation", improvement=Fraction(0)
-            )
+    best_m, moves = _machine_best_response(engine, policy, budget)
+    machine_ic = _incentive_check(
+        "machine_ic", "no improving machine deviation", root_value, best_m,
+        "machine best response is undefined" if best_m is None else
+        f"machine deviation lowers the objective from {root_value} to {best_m}: {moves}",
+    )
 
     per_type: list[CheckResult] = []
     for i in sorted(policy.weights):
@@ -1060,39 +1043,23 @@ def verify_equilibrium(
         try:
             eq_value = playout(spec, policy, i).criterion
         except (KeyError, ValueError) as exc:
-            per_type.append(
-                CheckResult(name, False, f"equilibrium playout undefined for type {i}: {exc}")
-            )
+            undefined = f"equilibrium playout undefined for type {i}: {exc}"
+            per_type.append(CheckResult(name, False, undefined))
             continue
-        best_h, detail_h = _human_best_response(engine, policy, i, budget)
-        if best_h is None:
-            per_type.append(CheckResult(name, False, "human best response undefined"))
-            continue
-        gain = eq_value - best_h
-        if gain > 0:
-            per_type.append(
-                CheckResult(
-                    name,
-                    False,
-                    f"type {i} lowers its criterion from {eq_value} to {best_h} "
-                    f"via signals {detail_h}",
-                    improvement=gain,
-                )
-            )
-        else:
-            per_type.append(
-                CheckResult(name, True, "no improving deviation", improvement=Fraction(0))
-            )
+        best_h, signals = _human_best_response(engine, policy, i, budget)
+        per_type.append(_incentive_check(
+            name, "no improving deviation", eq_value, best_h,
+            "human best response undefined" if best_h is None else
+            f"type {i} lowers its criterion from {eq_value} to {best_h} via signals {signals}",
+        ))
     human_ic = CheckResult(
         "human_ic",
         all(c.passed for c in per_type),
         "; ".join(f"{c.name}: {'ok' if c.passed else c.detail}" for c in per_type),
     )
 
-    belief_consistency = _check_belief_consistency(spec, policy)
-    return EquilibriumReport(
-        machine_ic=machine_ic,
-        human_ic=human_ic,
-        belief_consistency=belief_consistency,
-        per_type=tuple(per_type),
+    problem = _belief_problem(spec, policy)
+    belief_consistency = CheckResult(
+        "belief_consistency", problem is None, problem or "all on-path updates match the filter"
     )
+    return EquilibriumReport(machine_ic, human_ic, belief_consistency, tuple(per_type))

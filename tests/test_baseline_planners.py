@@ -221,10 +221,10 @@ def test_neutral_override_plans_build_one_machine_table(graph_b, monkeypatch):
 
     machines, real = [], baseline_planners._induct
 
-    def counted(spec, theta, fee=False, machine=None):
+    def counted(spec, theta, machine=None):
         if machine is not None:
             machines.append(machine)  # kept alive, so identities stay distinct
-        return real(spec, theta, fee, machine)
+        return real(spec, theta, machine)
 
     monkeypatch.setattr(baseline_planners, "_induct", counted)
     types = range(len(graph_b.types))
@@ -295,7 +295,7 @@ def test_induct_tables_equal_reference_induct(graph_a):
             assert _induct(spec, theta) == reference.induct(spec, theta), (n, theta)
         machine = _induct(spec, Fraction(0))
         for theta in spec.exact_types:
-            got = _induct(spec, theta, True, machine)
+            got = _induct(spec, theta, machine)
             assert got == reference.induct(spec, theta, True, machine), (n, theta)
 
 
@@ -331,6 +331,6 @@ def test_responder_on_a_zero_cost_ride_cycle_runs_to_the_horizon():
     )
     machine = _induct(spec, Fraction(0))
     for theta in spec.exact_types[1:]:
-        got = _induct(spec, theta, True, machine)
+        got = _induct(spec, theta, machine)
         assert len(got) == 12_001
         assert got == reference.induct(spec, theta, True, machine), theta

@@ -441,3 +441,22 @@ def test_importing_the_cli_leaves_numpy_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout == "False\n"
+
+
+def test_cli_stdout_closed_early_exits_without_traceback():
+    # as in `riskgames ... sweep | head -1`: the reader closes the pipe before
+    # the CSV is written; the CSV is larger than a pipe buffer, so the write
+    # meets the closed pipe however fast the sweep runs
+    src = str(Path(cli_bench.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    argv = ["--scenario", "graph_a", "sweep", "--grid", "1000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "riskgames.cli_bench", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() != 0
+    assert "Traceback" not in err and "Exception ignored" not in err, err

@@ -17,7 +17,9 @@ from riskgames.baseline_planners import (
 )
 from riskgames.coordinator_solver import (
     BeliefState,
+    CheckResult,
     CoordinatorPolicy,
+    EquilibriumReport,
     OracleResult,
     PolicyTree,
     Prescription,
@@ -492,6 +494,142 @@ def test_verify_flags_worse_machine_action(scenario, state, action, improvement,
     report = verify_equilibrium(spec, policy)
     assert not report.machine_ic.passed
     assert (report.machine_ic.improvement, report.machine_ic.detail) == (improvement, detail)
+
+
+def _braced(spec):
+    """``spec`` with every node name in braces, a replacement field to ``str.format``."""
+    name = "{{{}}}".format
+    return replace(
+        spec,
+        nodes=tuple(map(name, spec.nodes)),
+        edges=tuple(replace(e, src=name(e.src), dst=name(e.dst)) for e in spec.edges),
+        terminals={name(n): cost for n, cost in spec.terminals.items()},
+        start_node=name(spec.start_node),
+    )
+
+
+def _drop(table, key):
+    return {k: v for k, v in table.items() if k != key}
+
+
+def _braced_worse_machine(spec, _):
+    braced = _braced(spec)
+    worse = BeliefState("{3}", (0, 1), 3)
+    return braced, _with_worse_machine_action(braced, solve_dp(braced), worse, "S")
+
+
+_S2, _S3 = BeliefState("2", (0, 1), 2), BeliefState("3", (0, 1), 3)
+_MACHINE_OK = CheckResult("machine_ic", True, "no improving machine deviation", Fraction(0))
+_MACHINE_UNDEFINED = CheckResult("machine_ic", False, "machine best response is undefined")
+_BELIEF_OK = CheckResult("belief_consistency", True, "all on-path updates match the filter")
+_RIDERS_OK = (
+    CheckResult("human_ic", True, "human_ic[type 0]: ok; human_ic[type 1]: ok"),
+    tuple(CheckResult(f"human_ic[type {i}]", True, "no improving deviation", Fraction(0)) for i in (0, 1)),
+)
+
+
+def _playout_undefined(reason):
+    """(human_ic, per_type) when neither type's equilibrium playout finishes."""
+    text = [f"equilibrium playout undefined for type {i}: {reason}" for i in (0, 1)]
+    return (
+        CheckResult("human_ic", False, f"human_ic[type 0]: {text[0]}; human_ic[type 1]: {text[1]}"),
+        tuple(CheckResult(f"human_ic[type {i}]", False, text[i]) for i in (0, 1)),
+    )
+
+
+def _belief_failure(detail):
+    return CheckResult("belief_consistency", False, detail)
+
+
+_RIDER_0_GAINS = (
+    "type 0 lowers its criterion from 69/2 to 34 via signals (1, '{1}', SILENT), (2, '{2}', SILENT), "
+    "(3, '{3}', SILENT), (4, '{4}', SILENT), (5, '{6}', SILENT), (6, '{8}', SILENT)"
+)
+
+
+@pytest.mark.parametrize(
+    "tamper,machine_ic,riders,belief_consistency",
+    [
+        pytest.param(lambda s, p: (s, p), _MACHINE_OK, _RIDERS_OK, _BELIEF_OK, id="solved"),
+        pytest.param(
+            lambda s, p: (s, replace(p, decision=_drop(p.decision, p.root))),
+            _MACHINE_UNDEFINED,
+            _playout_undefined("policy undefined at reached state "
+                               "BeliefState(node='1', support=(0, 1), period=1)"),
+            _belief_failure("policy undefined at reachable state "
+                            "BeliefState(node='1', support=(0, 1), period=1)"),
+            id="root-undecided",
+        ),
+        pytest.param(
+            lambda s, p: (s, replace(p, decision=_drop(p.decision, _S2))),
+            _MACHINE_UNDEFINED,
+            _playout_undefined("policy undefined at reached state "
+                               "BeliefState(node='2', support=(0, 1), period=2)"),
+            _belief_failure("policy undefined at reachable state "
+                            "BeliefState(node='2', support=(0, 1), period=2)"),
+            id="reachable-state-undecided",
+        ),
+        pytest.param(
+            lambda s, p: (s, replace(p, transitions=_drop(p.transitions, (_S2, SILENT)))),
+            _MACHINE_OK,
+            _playout_undefined("policy transition missing at "
+                               "BeliefState(node='2', support=(0, 1), period=2) for signal 'SILENT'"),
+            _belief_failure("transition missing at BeliefState(node='2', support=(0, 1), period=2) "
+                            "for observed 'SILENT'"),
+            id="transition-missing",
+        ),
+        pytest.param(
+            lambda s, p: (s, replace(p, transitions={
+                **p.transitions, (BeliefState("8", (1,), 6), SILENT): BeliefState("8", (1,), 7)
+            })),
+            _MACHINE_OK,
+            _RIDERS_OK,
+            _belief_failure("BeliefState(node='8', support=(1,), period=6) observed 'SILENT': "
+                            "branch stops but successor BeliefState(node='8', support=(1,), period=7) "
+                            "stored"),
+            id="stop-stores-successor",
+        ),
+        pytest.param(
+            lambda s, p: (s, replace(p, decision={
+                **p.decision, p.root: replace(p.decision[p.root], machine="N")
+            })),
+            _MACHINE_OK,
+            _playout_undefined("'N'"),
+            _belief_failure("BeliefState(node='1', support=(0, 1), period=1): "
+                            "effective move 'N' has no edge"),
+            id="move-without-edge",
+        ),
+        pytest.param(
+            lambda s, p: (s, replace(p, transitions={
+                **p.transitions, (_S3, SILENT): BeliefState("5", (0, 1), 4)
+            })),
+            _MACHINE_OK,
+            _RIDERS_OK,
+            _belief_failure("first inconsistent step: BeliefState(node='3', support=(0, 1), period=3) "
+                            "observed 'SILENT': stored BeliefState(node='5', support=(0, 1), period=4), "
+                            "filter gives BeliefState(node='5', support=(1,), period=4)"),
+            id="wrong-successor",
+        ),
+        pytest.param(
+            _braced_worse_machine,
+            CheckResult("machine_ic", False, "machine deviation lowers the objective from 169/4 "
+                        "to 149/4: period 3 at node '{3}': play N", Fraction(5)),
+            (
+                CheckResult("human_ic", False, f"human_ic[type 0]: {_RIDER_0_GAINS}; human_ic[type 1]: ok"),
+                (CheckResult("human_ic[type 0]", False, _RIDER_0_GAINS, Fraction(1, 2)), _RIDERS_OK[1][1]),
+            ),
+            _BELIEF_OK,
+            id="braced-node-names",
+        ),
+    ],
+)
+def test_verify_verdict_texts(graph_a, tamper, machine_ic, riders, belief_consistency):
+    # every verdict text the verifier writes, on policies tampered from graph_a's solve
+    spec, policy = tamper(graph_a, solve_dp(graph_a))
+    human_ic, per_type = riders
+    assert verify_equilibrium(spec, policy) == EquilibriumReport(
+        machine_ic, human_ic, belief_consistency, per_type
+    )
 
 
 def test_smallest_passing_deviation_budget(graph_b):
