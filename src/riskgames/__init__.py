@@ -44,7 +44,6 @@ from .coordinator_solver import (
     verify_equilibrium,
 )
 from .evaluation import (
-    PerTypeOutcome,
     PolicyEvaluation,
     RegretRow,
     compute_regret,

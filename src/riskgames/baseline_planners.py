@@ -77,17 +77,17 @@ class RealizedPlan:
         return len(self.override_periods)
 
 
-def enumerate_paths_oracle(spec: GameSpec, node_limit: int = PATH_ENUMERATION_NODE_LIMIT) -> list[PathStats]:
+def enumerate_paths_oracle(spec: GameSpec) -> list[PathStats]:
     """Every simple start-to-terminal path that fits the horizon, with exact totals.
 
     Complete enumeration by depth-first search; paths may pass through a
     terminal and continue, and each terminal visit emits an entry. Guarded
-    to graphs of at most ``node_limit`` nodes.
+    to graphs of at most :data:`PATH_ENUMERATION_NODE_LIMIT` nodes.
     """
-    if len(spec.nodes) > node_limit:
+    if len(spec.nodes) > PATH_ENUMERATION_NODE_LIMIT:
         raise EnumerationGuardError(
-            f"path enumeration is guarded to {node_limit} nodes, spec has {len(spec.nodes)}",
-            bound=node_limit,
+            f"path enumeration is guarded to {PATH_ENUMERATION_NODE_LIMIT} nodes, spec has {len(spec.nodes)}",
+            bound=PATH_ENUMERATION_NODE_LIMIT,
         )
     max_moves = spec.horizon_T - 1  # one period is reserved for STOP
     results: list[PathStats] = []
@@ -260,7 +260,7 @@ def neutral_override_plan(spec: GameSpec, type_index: int) -> RealizedPlan:
     pay the transmission fee to redirect; this optimizes the rider's own
     mean-plus-weighted-variance cost-to-go.
     """
-    return _override_plan(spec, _induct(spec, Fraction(0)), type_index)
+    return neutral_override_plans(spec, (type_index,))[type_index]
 
 
 def neutral_override_plans(spec: GameSpec, types: Iterable[int]) -> dict[int, RealizedPlan]:

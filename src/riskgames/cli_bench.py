@@ -45,6 +45,7 @@ from .baseline_planners import (
 )
 from .coordinator_solver import (
     DEFAULT_DEVIATION_BUDGET,
+    aggregate,
     brute_force_oracle,
     playout,
     solve_dp,
@@ -323,30 +324,22 @@ def _cmd_solve(sc: ScenarioFile, args) -> int:
 
 def _cmd_baselines(sc: ScenarioFile, args) -> int:
     spec = sc.spec
-    lines = [f"theta_bar: {fmt(average_theta(spec))}"]
+    support = spec.positive_support()
     bcp = best_case_value(spec)
-    lines.append(f"best_case: {fmt(bcp)}")
+    lines = [f"theta_bar: {fmt(average_theta(spec))}", f"best_case: {fmt(bcp)}"]
     for mode in ("neutral", "average"):
         if mode == "neutral" and args.neutral_with_overrides:
-            per_type = {
-                i: evaluation.evaluate_policy_exact(spec, plan, i)
-                for i, plan in neutral_override_plans(spec, spec.positive_support()).items()
-            }
-            weights = spec.exact_prior()
-            weighted = sum(weights[i] * o.criterion for i, o in per_type.items())
-            crits = ", ".join(f"type {i}: {fmt(o.criterion)}" for i, o in per_type.items())
-            lines.append(f"neutral (with overrides): {crits} | weighted {fmt(weighted)} | regret {fmt(weighted - bcp)}")
-            continue
-        plan = baseline_policy(spec, mode)
-        ev = evaluation.evaluate_policy(spec, plan)
-        crits = ", ".join(
-            f"type {i}: {fmt(o.criterion)}" for i, o in sorted(ev.per_type.items())
-        )
-        # every type rides the planned route silently, so any type's playout describes it
-        lines.append(
-            f"{mode}: route {_describe_route(playout(spec, plan, 0))} | {crits}"
-            f" | weighted {fmt(ev.weighted_criterion)} | regret {fmt(ev.weighted_criterion - bcp)}"
-        )
+            label = "neutral (with overrides):"
+            plans = neutral_override_plans(spec, support)
+            per_type = {i: playout(spec, plan, i).criterion for i, plan in plans.items()}
+        else:
+            plan = baseline_policy(spec, mode)
+            # every type rides the planned route silently, so any type's playout describes it
+            label = f"{mode}: route {_describe_route(playout(spec, plan, 0))} |"
+            per_type = {i: plan.per_type_criterion[i] for i in support}
+        weighted = aggregate(spec.machine_aggregator, spec.exact_prior(), per_type)
+        crits = ", ".join(f"type {i}: {fmt(c)}" for i, c in per_type.items())
+        lines.append(f"{label} {crits} | weighted {fmt(weighted)} | regret {fmt(weighted - bcp)}")
     print("\n".join(lines))
     return 0
 

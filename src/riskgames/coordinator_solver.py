@@ -695,13 +695,19 @@ def playout(spec: GameSpec, policy, type_index: int) -> TypeTrajectory:
             override_periods.append(period)
         if effective == STOP:
             break
-        edge = spec.out_edges[node][effective]
+        try:
+            edge = spec.out_edges[node][effective]
+        except KeyError:
+            raise ValueError(f"no edge for move {effective!r} at node {node!r}") from None
         edges.append(edge)
         mean += edge.cost.exact_mean
         var += edge.cost.exact_variance
         node, period = edge.dst, period + 1
         nodes.append(node)
-    term = spec.terminals[node]
+    try:
+        term = spec.terminals[node]
+    except KeyError:
+        raise ValueError(f"STOP at node {node!r}, which is not a terminal") from None
     mean += term.exact_mean + spec.exact_transmission_cost * len(override_periods)
     var += term.exact_variance
     return TypeTrajectory(
@@ -742,7 +748,10 @@ def _state_moves(policy: CoordinatorPolicy, type_index: int):
         presc = policy.decision.get(state)
         if presc is None:
             raise ValueError(f"policy undefined at reached state {state}")
-        signal = presc.human_map[type_index]
+        try:
+            signal = presc.human_map[type_index]
+        except KeyError:
+            raise ValueError(f"no signal for type {type_index} at {state}") from None
         yield signal, presc.machine
         nxt = policy.transitions.get((state, signal))
         if nxt is None:
@@ -922,7 +931,10 @@ def _machine_best_response(engine: _Engine, policy: CoordinatorPolicy, budget: _
             cost, children = 0, []
             for signal, members in groups:
                 effective = a_m if signal == SILENT else signal
-                row = stage[(state.node, effective)]
+                row = stage.get((state.node, effective))
+                if row is None:  # no edge for the move, or STOP off a terminal: a dead end
+                    children = [None]
+                    break
                 for k in map(position.__getitem__, members):
                     cost += row[k] if signal == SILENT else row[k] + fee[k]
                 if effective != STOP:
@@ -951,8 +963,11 @@ def _human_best_response(
     def options(state: BeliefState, presc: Prescription):
         for a in sorted(set(presc.human_map.values()), key=_HUMAN_RANK.__getitem__):
             effective = presc.machine if a == SILENT else a
-            cost = engine.costs[(state.node, effective)][type_index]
-            cost += 0 if a == SILENT else engine.charge
+            row = engine.costs.get((state.node, effective))
+            if row is None:  # no edge for the move, or STOP off a terminal: a dead end
+                yield a, 0, [None]
+                continue
+            cost = row[type_index] + (0 if a == SILENT else engine.charge)
             yield a, cost, [] if effective == STOP else [policy.transitions.get((state, a))]
 
     best, walk = _best_response(engine, policy, options, budget)
@@ -976,12 +991,8 @@ def _belief_problem(spec: GameSpec, policy: CoordinatorPolicy) -> str | None:
     the first disagreement as text, or None when there is none."""
     weights = policy.weights
     queue = [policy.root]
-    seen: set[BeliefState] = set()
     while queue:
         state = queue.pop(0)
-        if state in seen:
-            continue
-        seen.add(state)
         presc = policy.decision.get(state)
         if presc is None:
             return f"policy undefined at reachable state {state}"
@@ -1042,7 +1053,7 @@ def verify_equilibrium(
         name = f"human_ic[type {i}]"
         try:
             eq_value = playout(spec, policy, i).criterion
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             undefined = f"equilibrium playout undefined for type {i}: {exc}"
             per_type.append(CheckResult(name, False, undefined))
             continue

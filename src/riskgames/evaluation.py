@@ -4,9 +4,9 @@ Every evaluation reads one type's realized route from
 :func:`coordinator_solver.playout`, whatever the policy kind: exact
 evaluation takes its edge and terminal moments (plus the deterministic
 signalling fees), and Monte Carlo evaluation samples the same route's edge
-costs as a statistical cross-check. Regret is a policy's
-prior-weighted criterion minus the best-case benchmark, and the prior
-sweep reproduces the regret-versus-prior study on a grid of priors.
+costs as a statistical cross-check. Regret is a policy's criterion under
+the machine's aggregator minus the prior-weighted best-case benchmark, and
+the prior sweep reproduces the regret-versus-prior study on a grid of priors.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .baseline_planners import (
     neutral_override_plans,
     risk_adjusted_shortest_path,
 )
-from .coordinator_solver import aggregate, playout, solve_dp
+from .coordinator_solver import TypeTrajectory, aggregate, playout, solve_dp
 from .errors import UnsupportedAggregatorError
 from .game_model import GameSpec, PublicHistory, Trajectory, as_float, as_fraction, with_prior
 
@@ -33,18 +33,8 @@ DEFAULT_SWEEP_GRID = tuple(i / 20 for i in range(21))
 
 
 @dataclass(frozen=True)
-class PerTypeOutcome:
-    """Exact moments of one type's realized play (fees folded into the mean)."""
-
-    mean: Fraction
-    variance: Fraction
-    overrides: int
-    criterion: Fraction
-
-
-@dataclass(frozen=True)
 class PolicyEvaluation:
-    per_type: dict[int, PerTypeOutcome]
+    per_type: dict[int, TypeTrajectory]
     weighted_criterion: Fraction
 
 
@@ -64,20 +54,16 @@ class RegretRow:
                 raise ValueError(f"{name} is negative ({getattr(self, name)}); benchmark broken")
 
 
-def evaluate_policy_exact(spec: GameSpec, policy, type_index: int) -> PerTypeOutcome:
-    """Exact per-type moments: edge sums plus fee times overrides in the mean."""
-    route = playout(spec, policy, type_index)
-    return PerTypeOutcome(
-        mean=route.mean, variance=route.variance, overrides=route.overrides, criterion=route.criterion
-    )
+def evaluate_policy_exact(spec: GameSpec, policy, type_index: int) -> TypeTrajectory:
+    """Exact per-type play: edge sums plus fee times overrides in the mean."""
+    return playout(spec, policy, type_index)
 
 
-def evaluate_policy(spec: GameSpec, policy, aggregator=None) -> PolicyEvaluation:
-    """Evaluate a policy for every positive-prior type and aggregate."""
-    agg = aggregator if aggregator is not None else spec.machine_aggregator
+def evaluate_policy(spec: GameSpec, policy) -> PolicyEvaluation:
+    """Evaluate a policy for every positive-prior type and aggregate by the machine's aggregator."""
     per_type = {i: evaluate_policy_exact(spec, policy, i) for i in spec.positive_support()}
-    weighted = aggregate(agg, spec.exact_prior(), {i: o.criterion for i, o in per_type.items()})
-    return PolicyEvaluation(per_type=per_type, weighted_criterion=weighted)
+    criteria = {i: route.criterion for i, route in per_type.items()}
+    return PolicyEvaluation(per_type, aggregate(spec.machine_aggregator, spec.exact_prior(), criteria))
 
 
 def compute_regret(spec: GameSpec, evaluation: PolicyEvaluation) -> Fraction:
@@ -174,10 +160,10 @@ def prior_sweep(
         i: risk_adjusted_shortest_path(spec, spec.exact_types[i]).per_type_criterion[i] for i in types
     }
     if neutral_with_overrides:
-        neutral_plans = neutral_override_plans(spec, types)
+        neutral = {i: evaluate_policy_exact(spec, plan, i).criterion
+                   for i, plan in neutral_override_plans(spec, types).items()}
     else:
-        neutral_plans = dict.fromkeys(types, baseline_policy(spec, "neutral"))
-    neutral = {i: evaluate_policy_exact(spec, plan, i).criterion for i, plan in neutral_plans.items()}
+        neutral = baseline_policy(spec, "neutral").per_type_criterion
     rows: list[RegretRow] = []
     for p in points:
         pf = as_fraction(p)

@@ -282,6 +282,59 @@ def test_cli_malformed_scenario_is_one_line_error(key, value, problem, tmp_path,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "mutate,problem",
+    [
+        pytest.param(lambda d: [d], "scenario root must be a JSON object", id="root-not-an-object"),
+        pytest.param(
+            lambda d: {k: v for k, v in d.items() if k not in ("q_h", "seed")},
+            "missing required keys ['q_h', 'seed']",
+            id="missing-keys",
+        ),
+        pytest.param(
+            lambda d: {**d, "aggregator": {"cvar": "x"}}, "aggregator cvar level 'x' is not a number", id="cvar-level"
+        ),
+        pytest.param(
+            lambda d: {**d, "edges": [{**d["edges"][0], "var": -1}, *d["edges"][1:]]},
+            "edges[0].var is negative",
+            id="negative-edge-var",
+        ),
+        pytest.param(
+            lambda d: {**d, "terminals": {**d["terminals"], "7": {"mean": 0}}},
+            "terminals['7'] must have exactly mean/var",
+            id="malformed-terminal",
+        ),
+        pytest.param(lambda d: {**d, "seed": 1.5}, "seed must be an integer, got 1.5", id="seed-not-an-integer"),
+        pytest.param(lambda d: {**d, "sweep": [1]}, "sweep must have exactly axis/grid", id="sweep-shape"),
+        pytest.param(
+            lambda d: {**d, "sweep": {**d["sweep"], "axis": 0}},
+            "sweep.axis must be a 1-based type index, got 0",
+            id="sweep-axis",
+        ),
+        pytest.param(
+            lambda d: {**d, "sweep": {**d["sweep"], "grid": [0.5, 1.5]}},
+            "sweep.grid values must lie in [0, 1]",
+            id="sweep-grid-outside-unit-interval",
+        ),
+    ],
+)
+def test_cli_loader_problem_is_one_exact_line(mutate, problem, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(mutate(scenario_to_dict(load_scenario("graph_a")))))
+    assert main(["--scenario", str(path), "solve"]) == 1
+    assert capsys.readouterr() == ("", f"error: ScenarioError: {path}: {problem}\n")
+
+
+def test_cli_expectation_flag_overrides_a_cvar_scenario(tmp_path, capsys):
+    data = scenario_to_dict(load_scenario("graph_a"))
+    data["aggregator"] = {"cvar": 0.5}
+    path = tmp_path / "cvar.json"
+    path.write_text(json.dumps(data))
+    assert main(["--scenario", str(path), "--aggregator", "expectation", "solve"]) == 0
+    golden = Path(__file__).with_name("golden") / "graph_a_solve.txt"
+    assert capsys.readouterr() == (golden.read_text(encoding="utf-8"), "")
+
+
 def _cycle_scenario(tmp_path, horizon=3000, extra_edges=(), mean=1, var=2) -> str:
     """A 3-node cycle (plus ``extra_edges``), by default over 3000 periods, far beyond the recursion limit."""
     data = {

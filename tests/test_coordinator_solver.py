@@ -519,6 +519,7 @@ def _braced_worse_machine(spec, _):
 
 
 _S2, _S3 = BeliefState("2", (0, 1), 2), BeliefState("3", (0, 1), 3)
+_S4_TYPE_0 = BeliefState("4", (0,), 4)
 _MACHINE_OK = CheckResult("machine_ic", True, "no improving machine deviation", Fraction(0))
 _MACHINE_UNDEFINED = CheckResult("machine_ic", False, "machine best response is undefined")
 _BELIEF_OK = CheckResult("belief_consistency", True, "all on-path updates match the filter")
@@ -535,6 +536,16 @@ def _playout_undefined(reason):
         CheckResult("human_ic", False, f"human_ic[type 0]: {text[0]}; human_ic[type 1]: {text[1]}"),
         tuple(CheckResult(f"human_ic[type {i}]", False, text[i]) for i in (0, 1)),
     )
+
+
+def _rider_undefined(i, reason):
+    """(human_ic, per_type) when type i's equilibrium playout does not finish
+    and the other type has no improving deviation."""
+    text = f"equilibrium playout undefined for type {i}: {reason}"
+    per_type = list(_RIDERS_OK[1])
+    per_type[i] = CheckResult(f"human_ic[type {i}]", False, text)
+    summary = "; ".join(f"human_ic[type {j}]: {text if j == i else 'ok'}" for j in (0, 1))
+    return CheckResult("human_ic", False, summary), tuple(per_type)
 
 
 def _belief_failure(detail):
@@ -594,10 +605,55 @@ _RIDER_0_GAINS = (
                 **p.decision, p.root: replace(p.decision[p.root], machine="N")
             })),
             _MACHINE_OK,
-            _playout_undefined("'N'"),
+            _playout_undefined("no edge for move 'N' at node '1'"),
             _belief_failure("BeliefState(node='1', support=(0, 1), period=1): "
                             "effective move 'N' has no edge"),
             id="move-without-edge",
+        ),
+        pytest.param(
+            lambda s, p: (s, replace(p, decision={
+                **p.decision, p.root: replace(p.decision[p.root], machine=STOP)
+            })),
+            _MACHINE_OK,
+            _playout_undefined("STOP at node '1', which is not a terminal"),
+            _belief_failure("BeliefState(node='1', support=(0, 1), period=1) observed 'SILENT': "
+                            "branch stops but successor BeliefState(node='2', support=(0, 1), period=2) "
+                            "stored"),
+            id="stop-off-a-terminal",
+        ),
+        pytest.param(
+            # type 0's playout fails at the state; type 1's search reaches it by signalling S
+            lambda s, p: (s, replace(p, decision={
+                **p.decision, _S4_TYPE_0: replace(p.decision[_S4_TYPE_0], machine="N")
+            })),
+            _MACHINE_OK,
+            _rider_undefined(0, "no edge for move 'N' at node '4'"),
+            _belief_failure("BeliefState(node='4', support=(0,), period=4): "
+                            "effective move 'N' has no edge"),
+            id="deviation-reaches-move-without-edge",
+        ),
+        pytest.param(
+            # every machine action meets type 1's signal N, which has no edge at the root
+            lambda s, p: (s, replace(p, decision={
+                **p.decision, p.root: Prescription("E", ((0, SILENT), (1, "N")))
+            })),
+            _MACHINE_UNDEFINED,
+            _rider_undefined(1, "no edge for move 'N' at node '1'"),
+            _belief_failure("first inconsistent step: BeliefState(node='1', support=(0, 1), period=1) "
+                            "observed 'SILENT': stored BeliefState(node='2', support=(0, 1), period=2), "
+                            "filter gives BeliefState(node='2', support=(0,), period=2)"),
+            id="signal-without-edge",
+        ),
+        pytest.param(
+            lambda s, p: (s, replace(p, transitions={
+                **p.transitions, (_S2, SILENT): BeliefState("3", (0,), 3)
+            })),
+            _MACHINE_OK,
+            _rider_undefined(1, "no signal for type 1 at BeliefState(node='3', support=(0,), period=3)"),
+            _belief_failure("first inconsistent step: BeliefState(node='2', support=(0, 1), period=2) "
+                            "observed 'SILENT': stored BeliefState(node='3', support=(0,), period=3), "
+                            "filter gives BeliefState(node='3', support=(0, 1), period=3)"),
+            id="support-lacks-type",
         ),
         pytest.param(
             lambda s, p: (s, replace(p, transitions={

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from instance_gen import random_game
-from riskgames import Aggregator, evaluation
+from riskgames import Aggregator, CostDistribution, Edge, GameSpec, evaluation
 from riskgames.baseline_planners import (
     baseline_policy,
     best_case_value,
@@ -26,7 +26,7 @@ from riskgames.evaluation import (
     prior_sweep,
     sample_trajectory,
 )
-from riskgames.game_model import as_fraction, with_prior
+from riskgames.game_model import SILENT, STOP, as_fraction, with_prior
 
 
 def test_coordinator_evaluation_matches_root_value(graph_a):
@@ -50,7 +50,7 @@ def test_neutral_baseline_evaluation(graph_a):
 
 def test_evaluate_policy_cvar_aggregation(graph_a):
     policy = solve_dp(graph_a)
-    ev = evaluate_policy(graph_a, policy, aggregator=Aggregator.cvar(0.9))
+    ev = evaluate_policy(replace(graph_a, machine_aggregator=Aggregator.cvar(0.9)), policy)
     # the worst tenth of the type distribution is entirely the cautious type
     assert ev.weighted_criterion == 40
 
@@ -149,6 +149,26 @@ def test_sample_trajectory_totals_are_consistent(graph_a):
         sample_trajectory(graph_a, policy, 0, rng).total_cost for _ in range(4000)
     ]
     assert abs(sum(totals) / len(totals) - 30.5) < 1.5
+
+
+def test_sample_trajectory_charges_a_stop_override_in_the_terminal_cost():
+    # the neutral machine rides through t1 on to t2; the cautious rider pays the fee to stop at t1
+    spec = GameSpec(
+        nodes=("1", "t1", "t2"),
+        edges=(Edge("1", "t1", "E", CostDistribution(1, 0)), Edge("t1", "t2", "E", CostDistribution(1, 6))),
+        terminals={"t1": CostDistribution(0, 0), "t2": CostDistribution(-5, 0)},
+        start_node="1",
+        horizon_T=3,
+        types=(0.0, 1.0),
+        prior=(0.5, 0.5),
+        transmission_cost=0.1,
+    )
+    plan = neutral_override_plan(spec, 1)
+    assert (plan.signals, plan.machine_actions, plan.override_periods) == ((SILENT, STOP), ("E", "E"), (2,))
+    traj = sample_trajectory(spec, plan, 1, np.random.default_rng(0))
+    assert traj.history.steps[-1] == ("t1", STOP, "E")
+    # zero variance everywhere, so every draw is its mean
+    assert (traj.step_costs, traj.terminal_cost, traj.total_cost) == ((1.0,), 0.1, 1.1)
 
 
 def test_prior_sweep_rows_and_endpoints(graph_b):

@@ -31,6 +31,10 @@ CASES = [
     ("graph_a_cvar_solve", ["--scenario", "graph_a", "--aggregator", "cvar:0.5", "solve"]),
     ("graph_a_cvar09_solve", ["--scenario", "graph_a", "--aggregator", "cvar:0.9", "solve"]),
     ("graph_b_cvar_solve", ["--scenario", "graph_b", "--aggregator", "cvar:0.5", "solve"]),
+    (
+        "graph_b_cvar_baselines_overrides",
+        ["--scenario", "graph_b", "--aggregator", "cvar:0.5", "baselines", "--neutral-with-overrides"],
+    ),
 ]
 
 
