@@ -13,13 +13,14 @@ The solver (:func:`solve_dp`) inducts over period layers, t = T down to 1,
 with no recursion. Its prescription search at a state is a DP over subsets
 of the belief support rather than a scan of every prescription: a signal
 group's stage-plus-continuation cost depends only on its signal and member
-set. The search runs on integers, every weighted stage cost and fee
-scaled by one common denominator, and the tie-break below rides in the
-low digits of those integers. The brute-force oracle
-(:func:`brute_force_oracle`), the solve path for CVaR, reads the solver's
-states and walks the solver's subset splits: with (+, ×) in place of
-(min, +) they count the policy trees, and with (union, Minkowski sum) they
-give each state's distinct per-type cost vectors. A tree's vector,
+set, so the states of one node and period share it. The search runs on
+integers, every weighted stage cost and fee scaled by one common
+denominator, and the tie-break below rides in the low digits of those
+integers. The brute-force oracle (:func:`brute_force_oracle`), the solve
+path for CVaR, reads the solver's states and walks each state's subset
+splits: with (+, ×) in place of (min, +) they count the policy trees, and
+with (union, Minkowski sum) they give each state's distinct per-type cost
+vectors. A tree's vector,
 integers over one common denominator, is the concatenation of its signal
 groups' vectors, each a group's stage costs plus its subtree's vector, and
 the aggregator depends on nothing else. So each distinct root vector is
@@ -52,6 +53,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .baseline_planners import PlannerResult, RealizedPlan
 from .belief_filter import Belief, bayes_update
@@ -81,9 +83,12 @@ DEFAULT_POLICY_GUARD = 10_000_000
 DEFAULT_DEVIATION_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class BeliefState:
-    """A coordinator state: position, belief support, and period (1-based)."""
+class BeliefState(NamedTuple):
+    """A coordinator state: position, belief support, and period (1-based).
+
+    A named tuple, so it hashes and compares as the plain tuple
+    ``(node, support, period)``, and its fields cannot be assigned.
+    """
 
     node: str
     support: tuple[int, ...]
@@ -169,7 +174,8 @@ class _Engine:
     costs weighted by the prior (:meth:`scaled_stages`), which the solver
     searches on. States are keyed by (node, support mask), bit k of the
     mask standing for the k-th type of the prior's support, and
-    :meth:`layers` builds them per period.
+    :meth:`layers` builds them per period from the feasible moves that
+    :meth:`moves` lists once per (node, period).
     """
 
     def __init__(self, spec: GameSpec):
@@ -186,8 +192,10 @@ class _Engine:
         self.costs = {key: [m * b + f * v for f in factors] for key, (m, v) in moments.items()}
         self.scale, self.fee, self.stage = self.scaled_stages(self.weights)
         self._machine_acts: dict[str, tuple[str, ...]] = {}
+        self._move_cache: dict[tuple[str, int], list[tuple[int, str, str | None]]] = {}
         self._subset_cache: dict[int, tuple] = {}
         self._split_cache: dict[int, list[list[tuple[int, int]]]] = {}
+        self._mask_split_cache: dict[int, list[tuple[int, int]]] = {}
 
     def machine_actions(self, node: str) -> tuple[str, ...]:
         acts = self._machine_acts.get(node)
@@ -196,9 +204,23 @@ class _Engine:
             self._machine_acts[node] = acts
         return acts
 
-    def feasible(self, node: str, period: int) -> bool:
-        # needs dist moves plus one STOP period inside the horizon
-        return self.dist[node] <= self.T - period
+    def moves(self, node: str, t: int) -> list[tuple[int, str, str | None]]:
+        """The moves at ``node`` in period ``t`` whose destination can still finish in time.
+
+        Each is (rank, move, destination), in canonical order: rank is the
+        move's place among the node's machine actions counted from 1 (0 is
+        SILENT), and the destination is None for STOP. A destination is in
+        time when its dist moves plus one STOP period fit after period t.
+        """
+        moves = self._move_cache.get((node, t))
+        if moves is None:
+            moves = []
+            for rank, e in enumerate(self.machine_actions(node), 1):
+                dst = self.edge_dst.get((node, e))  # None for STOP
+                if dst is None or self.dist[dst] <= self.T - t - 1:
+                    moves.append((rank, e, dst))
+            self._move_cache[(node, t)] = moves
+        return moves
 
     def groups_of(self, support: tuple[int, ...], human_map) -> list[tuple[str, tuple[int, ...]]]:
         """Partition a support by prescribed signal, deterministic order."""
@@ -228,7 +250,10 @@ class _Engine:
         after every move whose destination can still finish in time: each
         of them is a group's child under some feasible prescription, which
         is the set an exhaustive search visits. So no layer follows an empty one,
-        and on a cycle :func:`_check_state_guard` bounds the layers. Only the
+        and on a cycle :func:`_check_state_guard` bounds the layers. Subsets
+        are added smallest first, so a layer after the first lists the
+        nonempty proper subsets of a state's support, at its node, before
+        the state, as the solver's search needs. Only the
         solver and the oracle read them. They depend on the prior only
         through its support, so they are kept by support in the spec's
         ``layer_memo``, which :func:`~riskgames.game_model.with_prior` copies
@@ -243,9 +268,8 @@ class _Engine:
         for t in range(1, self.T):
             nxt: dict[tuple[str, int], BeliefState] = {}
             for node, mask in layers[t]:
-                for e in self.machine_actions(node):
-                    dst = self.edge_dst.get((node, e))  # None for STOP
-                    if dst is None or not self.feasible(dst, t + 1):
+                for _, _, dst in self.moves(node, t):
+                    if dst is None:
                         continue
                     for sub in self._subsets(mask)[1][1:]:
                         if (dst, sub) not in nxt:
@@ -259,42 +283,53 @@ class _Engine:
         return layers
 
     def _subsets(self, mask: int) -> tuple:
-        """(support, members, lowest, fee) of a support mask.
+        """(support, members, lowest) of a support mask.
 
         The lists are indexed by local subset s, whose bit j stands for the
-        j-th member of the support: ``members[s]`` is the mask of s,
+        j-th member of the support: ``members[s]`` is the mask of s and
         ``lowest[s]`` is (s without its lowest member, that member's type
-        position) and ``fee[s]`` is the scaled fee of s.
+        position).
         """
         tables = self._subset_cache.get(mask)
         if tables is None:
             positions = [k for k in range(len(self.support0)) if mask >> k & 1]
             n = 1 << len(positions)
-            members, lowest, fee = [0] * n, [(0, 0)] * n, [0] * n
+            members, lowest = [0] * n, [(0, 0)] * n
             for sub in range(1, n):
                 bit = sub & -sub
                 rest, k = sub ^ bit, positions[bit.bit_length() - 1]
                 members[sub] = members[rest] | 1 << k
                 lowest[sub] = (rest, k)
-                fee[sub] = fee[rest] + self.fee[k]
             support = tuple(self.support0[k] for k in positions)
-            tables = (support, members, lowest, fee)
+            tables = (support, members, lowest)
             self._subset_cache[mask] = tables
         return tables
+
+    def _mask_splits(self, mask: int) -> list[tuple[int, int]]:
+        """Every (G, mask without G) for G a submask of ``mask``."""
+        splits = self._mask_split_cache.get(mask)
+        if splits is None:
+            splits, sub = [(0, mask)], mask
+            while sub:
+                splits.append((sub, mask ^ sub))
+                sub = (sub - 1) & mask
+            self._mask_split_cache[mask] = splits
+        return splits
 
     def _splits(self, size: int) -> list[list[tuple[int, int]]]:
         """Per local subset R, every (G, R without G) for G a subset of R."""
         splits = self._split_cache.get(size)
         if splits is None:
-            splits = []
-            for whole in range(1 << size):
-                pairs, sub = [(0, whole)], whole
-                while sub:
-                    pairs.append((sub, whole ^ sub))
-                    sub = (sub - 1) & whole
-                splits.append(pairs)
-            self._split_cache[size] = splits
+            splits = self._split_cache[size] = [self._mask_splits(whole) for whole in range(1 << size)]
         return splits
+
+
+def _mask_sums(row: list[int]) -> list[int]:
+    """Per mask m over the positions of ``row``, the sum of ``row[k]`` over the bits k of m."""
+    sums = [0]
+    for c in row:
+        sums += [s + c for s in sums]
+    return sums
 
 
 class _IntegerSolver(_Engine):
@@ -305,23 +340,36 @@ class _IntegerSolver(_Engine):
     Fractions only when the policy tables are built.
     """
 
+    def __init__(self, spec: GameSpec):
+        super().__init__(spec)
+        self._fee_sums = _mask_sums(self.fee)
+        self._stage_sums: dict[tuple[str, str], list[int]] = {}
+        self._digit_cache: dict[int, tuple[int, list[int]]] = {}
+
+    def _digits(self, base: int) -> tuple[int, list[int]]:
+        """(base**K, digits) for the K types of the prior's support: ``digits[m]``
+        is the sum of base**(K - 1 - k) over the type positions k of mask m."""
+        found = self._digit_cache.get(base)
+        if found is None:
+            size = len(self.support0)
+            found = base**size, _mask_sums([base ** (size - 1 - k) for k in range(size)])
+            self._digit_cache[base] = found
+        return found
+
     def policy(self) -> CoordinatorPolicy:
         layers = self.layers()
         decision: dict[BeliefState, Prescription] = {}
         values: dict[BeliefState, Fraction] = {}
         transitions: dict[tuple[BeliefState, str], BeliefState | None] = {}
-        later: dict[tuple[str, int], int] = {}
+        later: dict[str, dict[int, int]] = {}  # period t + 1's values per node, then per mask
         for t in range(len(layers) - 1, 0, -1):
-            current: dict[tuple[str, int], int] = {}
+            current: dict[str, dict[int, int]] = {}
+            rows: dict[str, tuple] = {}  # this period's group rows per node
             for (node, mask), state in layers[t].items():
-                value, a_m, human = self._best(node, mask, t, later)
-                current[(node, mask)] = value
+                value, a_m, human, groups = self._best(node, mask, t, later, rows)
+                current.setdefault(node, {})[mask] = value
                 decision[state] = Prescription(a_m, tuple(zip(state.support, human)))
                 values[state] = Fraction(value, self.scale)
-                members = self._subsets(mask)[1]
-                groups: dict[str, int] = {}
-                for j, signal in enumerate(human):
-                    groups[signal] = groups.get(signal, 0) | members[1 << j]
                 for signal, group in groups.items():
                     effective = a_m if signal == SILENT else signal
                     transitions[(state, signal)] = (
@@ -338,69 +386,89 @@ class _IntegerSolver(_Engine):
             weights=dict(self.weights),
         )
 
-    def _best(self, node: str, mask: int, t: int, later: dict[tuple[str, int], int]):
-        """(scaled value, machine action, signal per member) of the state's optimum.
+    def _rows(self, node: str, t: int, later: dict[str, dict[int, int]]):
+        """(signals, B**K, digits, folds, silent rows) of ``node`` in period ``t``.
+
+        Per feasible effective move, in canonical order, the override row
+        maps each member mask to the objective (see :meth:`_best`) of a
+        group that signals the move, and the silent row, keyed by move, to
+        that of a group riding it silently. ``folds`` pairs each override
+        row with the least objective per member set split among the
+        override signals so far, the first row with itself, and the others
+        with a table that :meth:`_overrides` fills in, state by state.
+        """
+        signals = (SILENT,) + self.machine_actions(node)
+        shift, digits = self._digits(len(signals))
+        fee = self._fee_sums
+        folds, silent = [], {}
+        for rank, e, dst in self.moves(node, t):
+            stage = self._stage_sums.get((node, e))
+            if stage is None:
+                stage = self._stage_sums[(node, e)] = _mask_sums(self.stage[(node, e)])
+            tail = dict.fromkeys(range(len(stage)), 0) if dst is None else {0: 0, **later[dst]}
+            silent[e] = row = {m: (stage[m] + v) * shift for m, v in tail.items()}
+            override = {m: c + fee[m] * shift + rank * digits[m] for m, c in row.items()}
+            folds.append((override, {0: 0} if folds else override))
+        return signals, shift, digits, folds, silent
+
+    def _overrides(self, folds: list[tuple[dict, dict]], mask: int) -> dict[int, int]:
+        """Fill in ``mask``'s entry of every fold table and return the last table.
+
+        The entry of each proper subset of ``mask`` must be there already.
+        """
+        splits = self._mask_splits(mask)
+        done = folds[0][1]
+        for override, table in folds[1:]:
+            table[mask] = min([done[rest] + override[part] for part, rest in splits])
+            done = table
+        return done
+
+    def _best(self, node: str, mask: int, t: int, later: dict[str, dict[int, int]], rows: dict):
+        """(scaled value, machine action, signal per member, member mask per signal)
+        of the state's optimum.
 
         A signal group's cost depends only on its signal and member set.
-        With B signals at the node and K members, a prescription's
-        objective is its scaled value times B**K plus the base-B number
-        whose digits are the members' signal ranks, so the least objective
-        is the least value and, among equal values, the first signal
-        assignment in the documented order. Machine actions are compared
-        on the value alone, in order, so the first of equal ones wins.
+        With B signals at the node and K types in the prior's support, a
+        prescription's objective is its scaled value times B**K plus the
+        base-B number whose digit at type position k is the signal rank of
+        that type, or 0 for a type outside the state's support. So the least
+        objective is the least value and, among equal values, the first
+        signal assignment in the documented order, and the objective of a
+        group, or of a member set split among the override signals, depends
+        on the node, the period and the member mask alone: ``rows`` keeps
+        the node's tables for every state of the period. A layer lists the
+        nonempty subsets of a state's support at its node before the state,
+        but for the root, which is alone in its layer. Machine actions are
+        compared on the value alone, in order, so the first of equal ones wins.
         """
-        acts = self.machine_actions(node)
-        signals = (SILENT,) + acts
-        _, members, lowest, fee = self._subsets(mask)
-        size, base = mask.bit_count(), len(signals)
-        shift = base**size
-        everyone = len(members) - 1
-        # stage plus continuation of each effective move, per member set
-        cost: dict[str, list[int]] = {}
-        for e in acts:
-            dst = self.edge_dst.get((node, e))  # None for STOP
-            if dst is not None and not self.feasible(dst, t + 1):
-                continue
-            stage, row = self.stage[(node, e)], [0] * len(members)
-            for sub in range(1, len(members)):
-                rest, k = lowest[sub]
-                row[sub] = row[rest] + stage[k]
-            if dst is not None:
-                for sub in range(1, len(members)):
-                    row[sub] += later[(dst, members[sub])]
-            cost[e] = row
-        # least objective of each member set split among the override signals;
-        # digits[s] is the sum of base**(size - 1 - j) over the members j of s
-        digits = [0] * len(members)
-        for sub in range(1, len(members)):
-            bit = sub & -sub
-            digits[sub] = digits[sub ^ bit] + base ** (size - bit.bit_length())
-        splits = self._splits(size)
-        overrides = None
-        for rank, e in enumerate(acts, 1):
-            if e not in cost:
-                continue
-            group = [(c + f) * shift + rank * d for c, f, d in zip(cost[e], fee, digits)]
-            if overrides is None:
-                overrides = group
-            else:
-                overrides = [min([overrides[rest] + group[sub] for sub, rest in pairs]) for pairs in splits]
+        found = rows.get(node)
+        if found is None:
+            found = rows[node] = self._rows(node, t, later)
+        signals, shift, digits, folds, silent = found
+        if t == 1:  # the root's proper subsets are no states: fill them in first
+            for sub in self._subsets(mask)[1][1:-1]:
+                self._overrides(folds, sub)
+        overrides = self._overrides(folds, mask)
         # the silent group's members follow the machine action
+        splits = self._mask_splits(mask)
         best = None
-        for a_m in acts:
-            if a_m in cost:
-                row = cost[a_m]
-                objective = min([row[sub] * shift + overrides[rest] for sub, rest in splits[everyone]])
+        for a_m in signals[1:]:
+            row = silent.get(a_m)
+            if row is None:
+                objective = overrides[mask]
             else:
-                objective = overrides[everyone]
+                objective = min([row[part] + overrides[rest] for part, rest in splits])
             if best is None or objective // shift < best[0] // shift:
                 best = (objective, a_m)
         value, code = divmod(best[0], shift)
-        ranks = []
-        for _ in range(size):
-            code, rank = divmod(code, base)
-            ranks.append(rank)
-        return value, best[1], [signals[r] for r in reversed(ranks)]
+        human, groups = [], {}
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            signal = signals[code // digits[bit] % len(signals)]
+            human.append(signal)
+            groups[signal] = groups.get(signal, 0) | bit
+        return value, best[1], human, groups
 
 
 def solve_dp(spec: GameSpec) -> CoordinatorPolicy:
@@ -415,13 +483,15 @@ def solve_dp(spec: GameSpec) -> CoordinatorPolicy:
 
     The induction walks period layers from T down to 1, without recursion.
     At each state a DP over subsets of the support finds, once for all
-    machine actions, the best split of every member set among the override
-    signals, then matches the silent group against it per machine action:
-    about |A_h|·3^K + |A_m|·2^K steps for K supported types, where
-    trying every prescription takes |A_m|·|A_h|^K. The search runs on
-    integers scaled by one common denominator, and the tie-break
-    convention of the module docstring is unchanged: it is folded into the
-    low digits of the same integers.
+    machine actions, the best split of its member set among the override
+    signals, from those of its subsets, which are states of the same node
+    and period, then matches the silent group against it per machine
+    action: about (|A_h| + |A_m|)·2^K steps for K supported types, and at
+    most about (|A_h| + |A_m|)·3^K for a node's states in one period
+    together, where trying every prescription takes |A_m|·|A_h|^K per
+    state. The search runs on integers scaled by one common denominator,
+    and the tie-break convention of the module docstring is unchanged: it
+    is folded into the low digits of the same integers.
     """
     problems = validate_spec(spec)
     if problems:
@@ -441,8 +511,8 @@ class _Oracle(_Engine):
     one per signal, and each group that moves on follows one tree of its
     child state. So a state's trees are a sum, over machine actions and
     splits, of products of its groups' trees: :meth:`_fold` walks the
-    splits of ``_IntegerSolver._best`` with a (join, combine) pair in place
-    of (min, +). Only optimal trees are built, each next to its key
+    state's subset splits, as the solver's search does, with a (join,
+    combine) pair in place of (min, +). Only optimal trees are built, each next to its key
     (machine action rank, the members' signal ranks, child keys...), with
     ``()`` for a group that stops. Keys order trees as an enumeration of
     each state's feasible prescriptions in the tie-break order of the
@@ -460,10 +530,9 @@ class _Oracle(_Engine):
         """
         splits = self._splits(mask.bit_count())
         everyone = len(splits) - 1
-        groups = []
-        for e in self.machine_actions(node):
-            dst = self.edge_dst.get((node, e))  # None for STOP
-            groups.append(None if dst is not None and not self.feasible(dst, t + 1) else rows(e, dst))
+        groups = [None] * len(self.machine_actions(node))
+        for rank, e, dst in self.moves(node, t):
+            groups[rank - 1] = rows(e, dst)
         overrides = None
         for _, row in filter(None, groups):
             overrides = row if overrides is None else [
@@ -532,7 +601,7 @@ class _Oracle(_Engine):
 
         def rows(later, node, mask, e, dst):
             # per member set, its group vectors, each mapped to its subtree's (0 after STOP)
-            _, members, lowest, _ = self._subsets(mask)
+            _, members, lowest = self._subsets(mask)
             own, charged = [0] * len(members), [0] * len(members)
             silent, override = [{0: 0}], [{0: 0}]
             for sub in range(1, len(members)):
@@ -556,7 +625,7 @@ class _Oracle(_Engine):
         ways = dict.fromkeys(queue)  # per (period, node, mask, vector): (machine action, groups) pairs
         for key in queue:
             t, node, mask, vector = key
-            _, members, lowest, _ = self._subsets(mask)
+            _, members, lowest = self._subsets(mask)
             entries, part = unpack(vector), [0] * len(members)
             for sub in range(1, len(members)):
                 rest, k = lowest[sub]
@@ -583,7 +652,7 @@ class _Oracle(_Engine):
         built: dict[tuple, list[tuple[tuple, PolicyTree]]] = {}
         for key in reversed(queue):  # the next period's trees first
             t, node, mask, _ = key
-            support, members, _, _ = self._subsets(mask)
+            support, members, _ = self._subsets(mask)
             built[key] = trees = []
             for a_m, groups in ways[key]:
                 groups = sorted(groups, key=lambda g: g[0] & -g[0])  # children by their first member
@@ -760,10 +829,17 @@ def _state_moves(policy: CoordinatorPolicy, type_index: int):
 
 
 def _tree_moves(tree: PolicyTree, type_index: int):
-    while True:
-        signal = tree.prescription.human_map[type_index]
+    for period in itertools.count(1):
+        signal = tree.prescription.human_map.get(type_index)
+        if signal is None:
+            raise ValueError(f"no signal for type {type_index} in the policy tree at period {period}")
         yield signal, tree.prescription.machine
-        tree = tree.child(signal)
+        try:
+            tree = tree.child(signal)
+        except KeyError:
+            tree = None
+        if tree is None:  # read only after a move that is not STOP
+            raise ValueError(f"policy tree has no subtree for signal {signal!r} at period {period}")
 
 
 def aggregate(aggregator: Aggregator, weights: dict, per_type: dict[int, Fraction]) -> Fraction:
@@ -919,6 +995,8 @@ def _machine_best_response(engine: _Engine, policy: CoordinatorPolicy, budget: _
     machine's action), so the machine's unilateral deviations form a
     one-agent problem over the same belief states. Costs are the policy's
     weighted stage costs as integers; only the root's best becomes a ``Fraction``.
+    Raises ValueError at the first state whose support holds a type the
+    policy gives no weight.
     """
     # the engine's tables, unless the policy was solved under another prior than the spec's
     same = policy.weights == engine.weights
@@ -926,16 +1004,21 @@ def _machine_best_response(engine: _Engine, policy: CoordinatorPolicy, budget: _
     position = {i: k for k, i in enumerate(sorted(policy.weights))}
 
     def options(state: BeliefState, presc: Prescription):
-        groups = engine.groups_of(state.support, presc.human_map)
+        groups = []
+        for signal, members in engine.groups_of(state.support, presc.human_map):
+            try:
+                groups.append((signal, members, [position[i] for i in members]))
+            except KeyError as missing:
+                raise ValueError(f"type {missing.args[0]} at {state} has no policy weight") from None
         for a_m in engine.machine_actions(state.node):
             cost, children = 0, []
-            for signal, members in groups:
+            for signal, members, positions in groups:
                 effective = a_m if signal == SILENT else signal
                 row = stage.get((state.node, effective))
                 if row is None:  # no edge for the move, or STOP off a terminal: a dead end
                     children = [None]
                     break
-                for k in map(position.__getitem__, members):
+                for k in positions:
                     cost += row[k] if signal == SILENT else row[k] + fee[k]
                 if effective != STOP:
                     dst = engine.edge_dst[(state.node, effective)]
@@ -997,7 +1080,10 @@ def _belief_problem(spec: GameSpec, policy: CoordinatorPolicy) -> str | None:
         if presc is None:
             return f"policy undefined at reachable state {state}"
         slice_map = presc.human_map
-        belief = Belief.from_weights({i: weights[i] for i in state.support})
+        try:
+            belief = Belief.from_weights({i: weights[i] for i in state.support})
+        except KeyError as missing:
+            return f"type {missing.args[0]} at {state} has no policy weight"
         for signal in sorted(set(slice_map.values()), key=_HUMAN_RANK.__getitem__):
             updated = bayes_update(belief, signal, slice_map)
             effective = signal if signal != SILENT else presc.machine
@@ -1041,12 +1127,16 @@ def verify_equilibrium(
     budget = _Budget(deviation_budget)
     root_value = policy.value[policy.root]
 
-    best_m, moves = _machine_best_response(engine, policy, budget)
-    machine_ic = _incentive_check(
-        "machine_ic", "no improving machine deviation", root_value, best_m,
-        "machine best response is undefined" if best_m is None else
-        f"machine deviation lowers the objective from {root_value} to {best_m}: {moves}",
-    )
+    try:
+        best_m, moves = _machine_best_response(engine, policy, budget)
+    except ValueError as exc:
+        machine_ic = CheckResult("machine_ic", False, f"machine best response is undefined: {exc}")
+    else:
+        machine_ic = _incentive_check(
+            "machine_ic", "no improving machine deviation", root_value, best_m,
+            "machine best response is undefined" if best_m is None else
+            f"machine deviation lowers the objective from {root_value} to {best_m}: {moves}",
+        )
 
     per_type: list[CheckResult] = []
     for i in sorted(policy.weights):

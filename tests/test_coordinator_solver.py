@@ -40,6 +40,7 @@ from riskgames.errors import (
     SpecValidationError,
     UnsupportedAggregatorError,
 )
+from riskgames.evaluation import _sweep_priors
 from riskgames.game_model import SILENT, STOP, as_fraction, path_criterion, with_prior
 
 
@@ -132,6 +133,23 @@ def test_dp_equals_reference_induction_with_tie_break(family):
         spec = make(seed)
         policy = solve_dp(spec)
         assert (policy.decision, policy.value, policy.transitions) == reference_induction(spec), seed
+
+
+def test_dp_equals_reference_induction_on_swept_priors(graph_b):
+    # sweep copies share their source's layers; a zero weight shrinks the support
+    for axis in range(len(graph_b.types)):
+        for p in ("0", "0.35", "1"):
+            spec = with_prior(graph_b, _sweep_priors(graph_b, axis, Fraction(p)))
+            policy = solve_dp(spec)
+            assert (policy.decision, policy.value, policy.transitions) == reference_induction(spec), (axis, p)
+
+
+def test_belief_state_is_a_named_tuple():
+    state = BeliefState("2", (0, 1), 3)
+    assert repr(state) == "BeliefState(node='2', support=(0, 1), period=3)"
+    with pytest.raises(AttributeError):
+        state.period = 4
+    assert state == ("2", (0, 1), 3) and hash(state) == hash(("2", (0, 1), 3))
 
 
 def _cycle(horizon: int, extra_edges=()) -> GameSpec:
@@ -285,6 +303,15 @@ def test_playout_agrees_across_policy_kinds(graph_a, graph_b, diamond):
         )
         for i in range(len(spec.types)):
             assert playout(spec, plan, i) == playout(spec, ridden, i)
+
+
+def test_tree_playout_names_what_the_tree_lacks(graph_a):
+    tree = brute_force_oracle(replace(graph_a, machine_aggregator=Aggregator.cvar(0.5))).policies[0]
+    with pytest.raises(ValueError, match="^policy tree has no subtree for signal 'SILENT' at period 1$"):
+        playout(graph_a, replace(tree, children=()), 0)
+    lacking = replace(tree, prescription=Prescription(tree.prescription.machine, tree.prescription.human[:1]))
+    with pytest.raises(ValueError, match="^no signal for type 1 in the policy tree at period 1$"):
+        playout(graph_a, lacking, 1)
 
 
 def test_oracle_k1_equals_shortest_path(diamond):
@@ -685,6 +712,19 @@ def test_verify_verdict_texts(graph_a, tamper, machine_ic, riders, belief_consis
     human_ic, per_type = riders
     assert verify_equilibrium(spec, policy) == EquilibriumReport(
         machine_ic, human_ic, belief_consistency, per_type
+    )
+
+
+def test_verify_reports_a_type_without_policy_weight(graph_a):
+    # the root's support holds type 1, which the policy gives no weight
+    policy = replace(solve_dp(graph_a), weights={0: Fraction(1)})
+    lacking = "type 1 at BeliefState(node='1', support=(0, 1), period=1) has no policy weight"
+    rider = CheckResult("human_ic[type 0]", True, "no improving deviation", Fraction(0))
+    assert verify_equilibrium(graph_a, policy) == EquilibriumReport(
+        CheckResult("machine_ic", False, f"machine best response is undefined: {lacking}"),
+        CheckResult("human_ic", True, "human_ic[type 0]: ok"),
+        _belief_failure(lacking),
+        (rider,),
     )
 
 
