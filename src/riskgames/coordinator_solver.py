@@ -173,9 +173,11 @@ class _Engine:
     ``charge / denominator``; ``scale``, ``fee`` and ``stage`` are the same
     costs weighted by the prior (:meth:`scaled_stages`), which the solver
     searches on. States are keyed by (node, support mask), bit k of the
-    mask standing for the k-th type of the prior's support, and
-    :meth:`layers` builds them per period from the feasible moves that
-    :meth:`moves` lists once per (node, period).
+    mask standing for the k-th type of the prior's support, and every
+    subset of a support is named by its submask, whose splits
+    :meth:`_mask_splits` lists once per mask. :meth:`layers` builds the
+    states per period from the feasible moves that :meth:`moves` lists
+    once per (node, period).
     """
 
     def __init__(self, spec: GameSpec):
@@ -193,8 +195,6 @@ class _Engine:
         self.scale, self.fee, self.stage = self.scaled_stages(self.weights)
         self._machine_acts: dict[str, tuple[str, ...]] = {}
         self._move_cache: dict[tuple[str, int], list[tuple[int, str, str | None]]] = {}
-        self._subset_cache: dict[int, tuple] = {}
-        self._split_cache: dict[int, list[list[tuple[int, int]]]] = {}
         self._mask_split_cache: dict[int, list[tuple[int, int]]] = {}
 
     def machine_actions(self, node: str) -> tuple[str, ...]:
@@ -222,13 +222,6 @@ class _Engine:
             self._move_cache[(node, t)] = moves
         return moves
 
-    def groups_of(self, support: tuple[int, ...], human_map) -> list[tuple[str, tuple[int, ...]]]:
-        """Partition a support by prescribed signal, deterministic order."""
-        groups: dict[str, list[int]] = {}
-        for i in support:
-            groups.setdefault(human_map[i], []).append(i)
-        return [(signal, tuple(members)) for signal, members in groups.items()]
-
     def scaled_stages(self, weights: dict[int, Fraction | int]):
         """(scale, fee, stage): weighted fees and stage costs as integers over one denominator.
 
@@ -250,9 +243,9 @@ class _Engine:
         after every move whose destination can still finish in time: each
         of them is a group's child under some feasible prescription, which
         is the set an exhaustive search visits. So no layer follows an empty one,
-        and on a cycle :func:`_check_state_guard` bounds the layers. Subsets
-        are added smallest first, so a layer after the first lists the
-        nonempty proper subsets of a state's support, at its node, before
+        and on a cycle :func:`_check_state_guard` bounds the layers. Submasks
+        are added in ascending order, so a layer after the first lists the
+        nonempty proper submasks of a state's mask, at its node, before
         the state, as the solver's search needs. Only the
         solver and the oracle read them. They depend on the prior only
         through its support, so they are kept by support in the spec's
@@ -271,9 +264,10 @@ class _Engine:
                 for _, _, dst in self.moves(node, t):
                     if dst is None:
                         continue
-                    for sub in self._subsets(mask)[1][1:]:
+                    for sub, _ in reversed(self._mask_splits(mask)[1:]):
                         if (dst, sub) not in nxt:
-                            nxt[(dst, sub)] = BeliefState(dst, self._subsets(sub)[0], t + 1)
+                            support = tuple(i for k, i in enumerate(self.support0) if sub >> k & 1)
+                            nxt[(dst, sub)] = BeliefState(dst, support, t + 1)
             if not nxt:
                 break
             layers.append(nxt)
@@ -282,31 +276,8 @@ class _Engine:
         self.spec.layer_memo[self.support0] = layers
         return layers
 
-    def _subsets(self, mask: int) -> tuple:
-        """(support, members, lowest) of a support mask.
-
-        The lists are indexed by local subset s, whose bit j stands for the
-        j-th member of the support: ``members[s]`` is the mask of s and
-        ``lowest[s]`` is (s without its lowest member, that member's type
-        position).
-        """
-        tables = self._subset_cache.get(mask)
-        if tables is None:
-            positions = [k for k in range(len(self.support0)) if mask >> k & 1]
-            n = 1 << len(positions)
-            members, lowest = [0] * n, [(0, 0)] * n
-            for sub in range(1, n):
-                bit = sub & -sub
-                rest, k = sub ^ bit, positions[bit.bit_length() - 1]
-                members[sub] = members[rest] | 1 << k
-                lowest[sub] = (rest, k)
-            support = tuple(self.support0[k] for k in positions)
-            tables = (support, members, lowest)
-            self._subset_cache[mask] = tables
-        return tables
-
     def _mask_splits(self, mask: int) -> list[tuple[int, int]]:
-        """Every (G, mask without G) for G a submask of ``mask``."""
+        """Every (G, mask without G) for G a submask of ``mask``: G = 0 first, then descending."""
         splits = self._mask_split_cache.get(mask)
         if splits is None:
             splits, sub = [(0, mask)], mask
@@ -314,13 +285,6 @@ class _Engine:
                 splits.append((sub, mask ^ sub))
                 sub = (sub - 1) & mask
             self._mask_split_cache[mask] = splits
-        return splits
-
-    def _splits(self, size: int) -> list[list[tuple[int, int]]]:
-        """Per local subset R, every (G, R without G) for G a subset of R."""
-        splits = self._split_cache.get(size)
-        if splits is None:
-            splits = self._split_cache[size] = [self._mask_splits(whole) for whole in range(1 << size)]
         return splits
 
 
@@ -445,8 +409,8 @@ class _IntegerSolver(_Engine):
         if found is None:
             found = rows[node] = self._rows(node, t, later)
         signals, shift, digits, folds, silent = found
-        if t == 1:  # the root's proper subsets are no states: fill them in first
-            for sub in self._subsets(mask)[1][1:-1]:
+        if t == 1:  # the root's proper submasks are no states: fill them in first
+            for sub, _ in reversed(self._mask_splits(mask)[2:]):
                 self._overrides(folds, sub)
         overrides = self._overrides(folds, mask)
         # the silent group's members follow the machine action
@@ -524,23 +488,23 @@ class _Oracle(_Engine):
         """Per machine action, the join over its prescriptions of their groups' combined rows.
 
         ``rows(e, dst)`` gives the silent and the overriding group rows of
-        effective move ``e`` to ``dst`` (None for STOP), lists over the
-        local subsets of the support whose entry 0, the empty group, is the
-        unit of ``combine``. A move that cannot finish in time takes no members.
+        effective move ``e`` to ``dst`` (None for STOP), dicts over the
+        submasks of ``mask`` whose entry 0, the empty group, is the unit of
+        ``combine``. A move that cannot finish in time takes no members.
         """
-        splits = self._splits(mask.bit_count())
-        everyone = len(splits) - 1
+        splits = self._mask_splits(mask)
         groups = [None] * len(self.machine_actions(node))
         for rank, e, dst in self.moves(node, t):
             groups[rank - 1] = rows(e, dst)
         overrides = None
         for _, row in filter(None, groups):
-            overrides = row if overrides is None else [
-                join([combine(overrides[rest], row[sub]) for sub, rest in pairs]) for pairs in splits
-            ]
+            overrides = row if overrides is None else {
+                whole: join([combine(overrides[rest], row[sub]) for sub, rest in self._mask_splits(whole)])
+                for whole, _ in splits
+            }
         return [
-            overrides[everyone] if group is None
-            else join([combine(group[0][sub], overrides[rest]) for sub, rest in splits[everyone]])
+            overrides[mask] if group is None
+            else join([combine(group[0][sub], overrides[rest]) for sub, rest in splits])
             for group in groups
         ]
 
@@ -559,7 +523,7 @@ class _Oracle(_Engine):
         """Number of trees at the root, by (+, ×) over the splits."""
 
         def rows(later, node, mask, e, dst):
-            row = [1] + [1 if dst is None else later[(dst, sub)] for sub in self._subsets(mask)[1][1:]]
+            row = {sub: 1 if dst is None or not sub else later[(dst, sub)] for sub, _ in self._mask_splits(mask)}
             return row, row
 
         for _, counts in self._induct(layers, rows, sum, operator.mul):
@@ -599,18 +563,16 @@ class _Oracle(_Engine):
                 v = (v - entries[-1]) >> width
             return entries
 
+        fee_sums = _mask_sums(fee)
+        stage_sums = functools.cache(lambda node, e: _mask_sums(stage[(node, e)]))
+
         def rows(later, node, mask, e, dst):
             # per member set, its group vectors, each mapped to its subtree's (0 after STOP)
-            _, members, lowest = self._subsets(mask)
-            own, charged = [0] * len(members), [0] * len(members)
-            silent, override = [{0: 0}], [{0: 0}]
-            for sub in range(1, len(members)):
-                rest, k = lowest[sub]
-                own[sub] = own[rest] + stage[(node, e)][k]
-                charged[sub] = charged[rest] + stage[(node, e)][k] + fee[k]
-                tails = (0,) if dst is None else later[(dst, members[sub])]
-                silent.append({own[sub] + w: w for w in tails})
-                override.append({charged[sub] + w: w for w in tails})
+            costs, silent, override = stage_sums(node, e), {0: {0: 0}}, {0: {0: 0}}
+            for sub, _ in self._mask_splits(mask)[1:]:
+                tails = (0,) if dst is None else later[(dst, sub)]
+                silent[sub] = {costs[sub] + w: w for w in tails}
+                override[sub] = {costs[sub] + fee_sums[sub] + w: w for w in tails}
             return silent, override
 
         tables = dict(self._induct(layers, rows, *_UNION_MINKOWSKI))
@@ -625,41 +587,37 @@ class _Oracle(_Engine):
         ways = dict.fromkeys(queue)  # per (period, node, mask, vector): (machine action, groups) pairs
         for key in queue:
             t, node, mask, vector = key
-            _, members, lowest = self._subsets(mask)
-            entries, part = unpack(vector), [0] * len(members)
-            for sub in range(1, len(members)):
-                rest, k = lowest[sub]
-                part[sub] = part[rest] + (entries[k] << width * k)
+            part = _mask_sums([entry << width * k for k, entry in enumerate(unpack(vector))])
 
             def split(e, dst):
                 # a group fits when the vector's entries on its members are one of its vectors
-                return [
-                    [[()]] + [
-                        [((sub, signal, dst, row[sub][part[sub]]),)] if part[sub] in row[sub] else []
-                        for sub in range(1, len(members))
-                    ]
-                    for signal, row in zip((SILENT, e), known(t, node, mask, e, dst))
-                ]
+                fit_rows = []
+                for signal, row in zip((SILENT, e), known(t, node, mask, e, dst)):
+                    fits = {sub: [((sub, signal, dst, tails[part[sub]]),)] if part[sub] in tails else []
+                            for sub, tails in row.items()}
+                    fits[0] = [()]  # the empty group
+                    fit_rows.append(fits)
+                return fit_rows
 
             found = self._fold(node, mask, t, split, *_CONCATENATION_PRODUCT)
             acts = self.machine_actions(node)
             ways[key] = [(a_m, groups) for a_m, fits in zip(acts, found) for groups in fits]
             for _, groups in ways[key]:
                 for sub, _, dst, w in groups:
-                    if dst is not None and (t + 1, dst, members[sub], w) not in ways:
-                        ways[(t + 1, dst, members[sub], w)] = None
-                        queue.append((t + 1, dst, members[sub], w))
+                    if dst is not None and (t + 1, dst, sub, w) not in ways:
+                        ways[(t + 1, dst, sub, w)] = None
+                        queue.append((t + 1, dst, sub, w))
         built: dict[tuple, list[tuple[tuple, PolicyTree]]] = {}
         for key in reversed(queue):  # the next period's trees first
             t, node, mask, _ = key
-            support, members, _ = self._subsets(mask)
             built[key] = trees = []
             for a_m, groups in ways[key]:
                 groups = sorted(groups, key=lambda g: g[0] & -g[0])  # children by their first member
-                signals = [next(g[1] for g in groups if g[0] >> j & 1) for j in range(len(support))]
-                presc = Prescription(a_m, tuple(zip(support, signals)))
-                head = (_HUMAN_RANK[a_m], tuple(map(_HUMAN_RANK.__getitem__, signals)))
-                options = [[((), None)] if dst is None else built[(t + 1, dst, members[sub], w)]
+                human = tuple((i, next(g[1] for g in groups if g[0] >> k & 1))
+                              for k, i in enumerate(self.support0) if mask >> k & 1)
+                presc = Prescription(a_m, human)
+                head = (_HUMAN_RANK[a_m], tuple(_HUMAN_RANK[s] for _, s in human))
+                options = [[((), None)] if dst is None else built[(t + 1, dst, sub, w)]
                            for sub, _, dst, w in groups]
                 for chosen in itertools.product(*options):
                     children = tuple((g[1], tree) for g, (_, tree) in zip(groups, chosen))
@@ -996,7 +954,7 @@ def _machine_best_response(engine: _Engine, policy: CoordinatorPolicy, budget: _
     one-agent problem over the same belief states. Costs are the policy's
     weighted stage costs as integers; only the root's best becomes a ``Fraction``.
     Raises ValueError at the first state whose support holds a type the
-    policy gives no weight.
+    policy gives no weight or its prescription no signal.
     """
     # the engine's tables, unless the policy was solved under another prior than the spec's
     same = policy.weights == engine.weights
@@ -1004,12 +962,14 @@ def _machine_best_response(engine: _Engine, policy: CoordinatorPolicy, budget: _
     position = {i: k for k, i in enumerate(sorted(policy.weights))}
 
     def options(state: BeliefState, presc: Prescription):
-        groups = []
-        for signal, members in engine.groups_of(state.support, presc.human_map):
-            try:
-                groups.append((signal, members, [position[i] for i in members]))
-            except KeyError as missing:
-                raise ValueError(f"type {missing.args[0]} at {state} has no policy weight") from None
+        human, groups = presc.human_map, {}  # members by signal, in order of their first member
+        for i in state.support:
+            if i not in human:
+                raise ValueError(f"no signal for type {i} at {state}")
+            if i not in position:
+                raise ValueError(f"type {i} at {state} has no policy weight")
+            groups.setdefault(human[i], []).append(i)
+        groups = [(signal, tuple(members), [position[i] for i in members]) for signal, members in groups.items()]
         for a_m in engine.machine_actions(state.node):
             cost, children = 0, []
             for signal, members, positions in groups:
@@ -1080,6 +1040,9 @@ def _belief_problem(spec: GameSpec, policy: CoordinatorPolicy) -> str | None:
         if presc is None:
             return f"policy undefined at reachable state {state}"
         slice_map = presc.human_map
+        for i in state.support:
+            if i not in slice_map:
+                return f"no signal for type {i} at {state}"
         try:
             belief = Belief.from_weights({i: weights[i] for i in state.support})
         except KeyError as missing:

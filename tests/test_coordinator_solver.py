@@ -24,6 +24,7 @@ from riskgames.coordinator_solver import (
     PolicyTree,
     Prescription,
     _Engine,
+    _IntegerSolver,
     _integer_pricer,
     aggregate,
     brute_force_oracle,
@@ -98,6 +99,30 @@ def test_tie_break_is_lexicographic(diamond):
     policy = solve_dp(diamond)
     root_presc = policy.decision[policy.root]
     assert root_presc == Prescription(machine="N", human=((0, SILENT), (1, "S")))
+
+
+def test_tie_between_members_goes_to_the_lower_type():
+    # two equal-weight types at a node whose move N costs 1 and S costs 2: each
+    # type alone costs nothing later, together they cost 100. Under machine N,
+    # (SILENT, N) and (N, SILENT) send both types to B in two groups for one
+    # fee; they tie exactly and beat every other prescription, so the lower
+    # type index decides, and type 0 rides silent
+    spec = GameSpec(
+        nodes=("A", "B", "C"),
+        edges=(Edge("A", "B", "N", CostDistribution(1, 0)), Edge("A", "C", "S", CostDistribution(2, 0))),
+        terminals={"B": CostDistribution(0, 0), "C": CostDistribution(0, 0)},
+        start_node="A",
+        horizon_T=2,
+        types=(0.1, 0.5),
+        prior=(0.5, 0.5),
+        transmission_cost=1,
+    )
+    solver = _IntegerSolver(spec)
+    joint = 100 * solver.scale
+    later = {"B": {0b01: 0, 0b10: 0, 0b11: joint}, "C": {0b01: 0, 0b10: 0, 0b11: joint}}
+    value, machine, human, groups = solver._best("A", 0b11, 1, later, {})
+    assert (machine, human, groups) == ("N", [SILENT, "N"], {SILENT: 0b01, "N": 0b10})
+    assert Fraction(value, solver.scale) == Fraction(3, 2)  # both move at cost 1, one pays the fee
 
 
 def test_dp_equals_oracle_on_diamond_fee_grid():
@@ -214,13 +239,23 @@ def _k3_games(first: int = 10):
 
 
 @pytest.mark.parametrize(
-    "aggregator",
-    [EXPECTATION, Aggregator.cvar(0), Aggregator.cvar(0.5), Aggregator.cvar(0.9)],
-    ids=["mean", "cvar0", "cvar", "cvar0.9"],
+    "aggregator,second_type_out",
+    [
+        (EXPECTATION, False),
+        (Aggregator.cvar(0), False),
+        (Aggregator.cvar(0.5), False),
+        (Aggregator.cvar(0.9), False),
+        (EXPECTATION, True),
+        (Aggregator.cvar(0.5), True),
+    ],
+    ids=["mean", "cvar0", "cvar", "cvar0.9", "mean-second-type-out", "cvar-second-type-out"],
 )
-def test_oracle_equals_reference_oracle_with_three_or_four_types(aggregator):
-    # with K >= 3 the root vectors sort in many worst-first orders, not two
+def test_oracle_equals_reference_oracle_with_three_or_four_types(aggregator, second_type_out):
+    # with K >= 3 the root vectors sort in many worst-first orders, not two; with
+    # the second type at weight 0, a type's support position differs from its index
     for seed, spec in _k3_games():
+        if second_type_out:
+            spec = with_prior(spec, _sweep_priors(spec, 1, Fraction(0)))
         spec = replace(spec, machine_aggregator=aggregator)
         assert brute_force_oracle(spec) == reference_oracle(spec), seed
 
@@ -547,6 +582,7 @@ def _braced_worse_machine(spec, _):
 
 _S2, _S3 = BeliefState("2", (0, 1), 2), BeliefState("3", (0, 1), 3)
 _S4_TYPE_0 = BeliefState("4", (0,), 4)
+_ROOT_LACKS_TYPE_1 = "no signal for type 1 at BeliefState(node='1', support=(0, 1), period=1)"
 _MACHINE_OK = CheckResult("machine_ic", True, "no improving machine deviation", Fraction(0))
 _MACHINE_UNDEFINED = CheckResult("machine_ic", False, "machine best response is undefined")
 _BELIEF_OK = CheckResult("belief_consistency", True, "all on-path updates match the filter")
@@ -681,6 +717,15 @@ _RIDER_0_GAINS = (
                             "observed 'SILENT': stored BeliefState(node='3', support=(0,), period=3), "
                             "filter gives BeliefState(node='3', support=(0, 1), period=3)"),
             id="support-lacks-type",
+        ),
+        pytest.param(
+            lambda s, p: (s, replace(p, decision={
+                **p.decision, p.root: Prescription("E", ((0, SILENT),))
+            })),
+            CheckResult("machine_ic", False, f"machine best response is undefined: {_ROOT_LACKS_TYPE_1}"),
+            _rider_undefined(1, _ROOT_LACKS_TYPE_1),
+            _belief_failure(_ROOT_LACKS_TYPE_1),
+            id="prescription-lacks-type",
         ),
         pytest.param(
             lambda s, p: (s, replace(p, transitions={
