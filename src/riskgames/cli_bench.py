@@ -266,6 +266,8 @@ def load_scenario(path_or_name: str | Path) -> ScenarioFile:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioError([f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"])
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise ScenarioError([f"{path}: cannot read the scenario file: {type(exc).__name__}: {exc}"]) from None
     try:
         return scenario_from_dict(data)
     except ScenarioError as exc:
@@ -373,7 +375,13 @@ def _cmd_sweep(sc: ScenarioFile, args) -> int:
         sc.spec, axis - 1, grid, neutral_with_overrides=args.neutral_with_overrides
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise SweepFlagError(
+                f"--out {args.out}: cannot open for writing: {type(exc).__name__}: {exc}"
+            ) from None
+        with fh:
             write_regret_csv(rows, fh)
     else:
         write_regret_csv(rows, sys.stdout)

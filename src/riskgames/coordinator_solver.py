@@ -242,37 +242,34 @@ class _Engine:
         The successors of a state are every nonempty subset of its support
         after every move whose destination can still finish in time: each
         of them is a group's child under some feasible prescription, which
-        is the set an exhaustive search visits. So no layer follows an empty one,
-        and on a cycle :func:`_check_state_guard` bounds the layers. Submasks
-        are added in ascending order, so a layer after the first lists the
-        nonempty proper submasks of a state's mask, at its node, before
-        the state, as the solver's search needs. Only the
-        solver and the oracle read them. They depend on the prior only
-        through its support, so they are kept by support in the spec's
+        is the set an exhaustive search visits. The root holds the whole
+        support, so every later period holds the nodes that the previous
+        period's nodes reach by those moves, each with every nonempty
+        support mask. So no layer follows an empty one, and on a cycle
+        :func:`_check_state_guard` bounds the layers before each is built.
+        Only the solver and the oracle read them. They depend on the prior
+        only through its support, so they are kept by support in the spec's
         ``layer_memo``, which :func:`~riskgames.game_model.with_prior` copies
         share; layers that pass the guard are not kept.
         """
         layers = self.spec.layer_memo.get(self.support0)
         if layers is not None:
             return layers
+        size = len(self.support0)
+        subsets = [(mask, tuple(i for k, i in enumerate(self.support0) if mask >> k & 1))
+                   for mask in range(1, 1 << size)]
         root = BeliefState(self.spec.start_node, self.support0, 1)
-        layers = [{}, {(root.node, (1 << len(root.support)) - 1): root}]
-        built = 1
+        layers = [{}, {(root.node, (1 << size) - 1): root}]
+        nodes, built = [root.node], 1
         for t in range(1, self.T):
-            nxt: dict[tuple[str, int], BeliefState] = {}
-            for node, mask in layers[t]:
-                for _, _, dst in self.moves(node, t):
-                    if dst is None:
-                        continue
-                    for sub, _ in reversed(self._mask_splits(mask)[1:]):
-                        if (dst, sub) not in nxt:
-                            support = tuple(i for k, i in enumerate(self.support0) if sub >> k & 1)
-                            nxt[(dst, sub)] = BeliefState(dst, support, t + 1)
-            if not nxt:
+            nodes = dict.fromkeys(dst for node in nodes for _, _, dst in self.moves(node, t) if dst is not None)
+            if not nodes:
                 break
-            layers.append(nxt)
-            built += len(nxt)
-            _check_state_guard(self.spec, t + 1, built, len(nxt))
+            width = len(nodes) * len(subsets)
+            built += width
+            _check_state_guard(self.spec, t + 1, built, width)
+            layers.append({(node, mask): BeliefState(node, support, t + 1)
+                           for node in nodes for mask, support in subsets})
         self.spec.layer_memo[self.support0] = layers
         return layers
 
@@ -325,13 +322,18 @@ class _IntegerSolver(_Engine):
         decision: dict[BeliefState, Prescription] = {}
         values: dict[BeliefState, Fraction] = {}
         transitions: dict[tuple[BeliefState, str], BeliefState | None] = {}
-        later: dict[str, dict[int, int]] = {}  # period t + 1's values per node, then per mask
+        size = 1 << len(self.support0)
+        later: dict[str, list[int]] = {}  # period t + 1's values per node, indexed by mask
         for t in range(len(layers) - 1, 0, -1):
-            current: dict[str, dict[int, int]] = {}
+            current: dict[str, list[int]] = {}
             rows: dict[str, tuple] = {}  # this period's group rows per node
             for (node, mask), state in layers[t].items():
-                value, a_m, human, groups = self._best(node, mask, t, later, rows)
-                current.setdefault(node, {})[mask] = value
+                found = rows.get(node)
+                if found is None:
+                    found = rows[node] = self._rows(node, t, later)
+                    current[node] = [0] * size
+                value, a_m, human, groups = self._best(mask, *found)
+                current[node][mask] = value
                 decision[state] = Prescription(a_m, tuple(zip(state.support, human)))
                 values[state] = Fraction(value, self.scale)
                 for signal, group in groups.items():
@@ -350,46 +352,36 @@ class _IntegerSolver(_Engine):
             weights=dict(self.weights),
         )
 
-    def _rows(self, node: str, t: int, later: dict[str, dict[int, int]]):
-        """(signals, B**K, digits, folds, silent rows) of ``node`` in period ``t``.
+    def _rows(self, node: str, t: int, later: dict[str, list[int]]):
+        """(signals, B**K, digits, overrides, silent rows) of ``node`` in period ``t``.
 
-        Per feasible effective move, in canonical order, the override row
-        maps each member mask to the objective (see :meth:`_best`) of a
-        group that signals the move, and the silent row, keyed by move, to
-        that of a group riding it silently. ``folds`` pairs each override
-        row with the least objective per member set split among the
-        override signals so far, the first row with itself, and the others
-        with a table that :meth:`_overrides` fills in, state by state.
+        Lists are indexed by member mask, and ``later[dst]`` holds period
+        t + 1's values at ``dst``, 0 at mask 0. Per feasible effective move,
+        in canonical order, the override row holds the objective (see
+        :meth:`_best`) of a group that signals the move, and the silent row,
+        keyed by move, that of a group riding it silently. ``overrides``
+        holds the least objective per member set split among all the
+        override signals, folded row by row over every mask's splits.
         """
         signals = (SILENT,) + self.machine_actions(node)
         shift, digits = self._digits(len(signals))
-        fee = self._fee_sums
-        folds, silent = [], {}
+        overrides, silent = None, {}
         for rank, e, dst in self.moves(node, t):
             stage = self._stage_sums.get((node, e))
             if stage is None:
                 stage = self._stage_sums[(node, e)] = _mask_sums(self.stage[(node, e)])
-            tail = dict.fromkeys(range(len(stage)), 0) if dst is None else {0: 0, **later[dst]}
-            silent[e] = row = {m: (stage[m] + v) * shift for m, v in tail.items()}
-            override = {m: c + fee[m] * shift + rank * digits[m] for m, c in row.items()}
-            folds.append((override, {0: 0} if folds else override))
-        return signals, shift, digits, folds, silent
+            tail = itertools.repeat(0) if dst is None else later[dst]
+            silent[e] = row = [(c + v) * shift for c, v in zip(stage, tail)]
+            override = [c + f * shift + rank * d for c, f, d in zip(row, self._fee_sums, digits)]
+            overrides = override if overrides is None else [
+                min([overrides[rest] + override[part] for part, rest in self._mask_splits(mask)])
+                for mask in range(len(override))
+            ]
+        return signals, shift, digits, overrides, silent
 
-    def _overrides(self, folds: list[tuple[dict, dict]], mask: int) -> dict[int, int]:
-        """Fill in ``mask``'s entry of every fold table and return the last table.
-
-        The entry of each proper subset of ``mask`` must be there already.
-        """
-        splits = self._mask_splits(mask)
-        done = folds[0][1]
-        for override, table in folds[1:]:
-            table[mask] = min([done[rest] + override[part] for part, rest in splits])
-            done = table
-        return done
-
-    def _best(self, node: str, mask: int, t: int, later: dict[str, dict[int, int]], rows: dict):
+    def _best(self, mask: int, signals, shift: int, digits: list[int], overrides: list[int], silent: dict):
         """(scaled value, machine action, signal per member, member mask per signal)
-        of the state's optimum.
+        of the optimum of the state with member ``mask``, from its node's :meth:`_rows`.
 
         A signal group's cost depends only on its signal and member set.
         With B signals at the node and K types in the prior's support, a
@@ -399,20 +391,10 @@ class _IntegerSolver(_Engine):
         objective is the least value and, among equal values, the first
         signal assignment in the documented order, and the objective of a
         group, or of a member set split among the override signals, depends
-        on the node, the period and the member mask alone: ``rows`` keeps
-        the node's tables for every state of the period. A layer lists the
-        nonempty subsets of a state's support at its node before the state,
-        but for the root, which is alone in its layer. Machine actions are
-        compared on the value alone, in order, so the first of equal ones wins.
+        on the node, the period and the member mask alone. Machine actions
+        are compared on the value alone, in order, so the first of equal
+        ones wins.
         """
-        found = rows.get(node)
-        if found is None:
-            found = rows[node] = self._rows(node, t, later)
-        signals, shift, digits, folds, silent = found
-        if t == 1:  # the root's proper submasks are no states: fill them in first
-            for sub, _ in reversed(self._mask_splits(mask)[2:]):
-                self._overrides(folds, sub)
-        overrides = self._overrides(folds, mask)
         # the silent group's members follow the machine action
         splits = self._mask_splits(mask)
         best = None
@@ -446,16 +428,13 @@ def solve_dp(spec: GameSpec) -> CoordinatorPolicy:
     :func:`brute_force_oracle` instead.
 
     The induction walks period layers from T down to 1, without recursion.
-    At each state a DP over subsets of the support finds, once for all
-    machine actions, the best split of its member set among the override
-    signals, from those of its subsets, which are states of the same node
-    and period, then matches the silent group against it per machine
-    action: about (|A_h| + |A_m|)·2^K steps for K supported types, and at
-    most about (|A_h| + |A_m|)·3^K for a node's states in one period
-    together, where trying every prescription takes |A_m|·|A_h|^K per
-    state. The search runs on integers scaled by one common denominator,
-    and the tie-break convention of the module docstring is unchanged: it
-    is folded into the low digits of the same integers.
+    Each (node, period) folds the best split of every member set among
+    the override signals, over every mask's splits, in about |A_h|·3^K
+    steps for K supported types; each state then matches its silent group
+    against it per machine action, in about |A_m|·2^|support| steps, where
+    trying every prescription takes |A_m|·|A_h|^K per state. The search
+    runs on integers scaled by one common denominator, and the tie-break
+    convention of the module docstring is folded into their low digits.
     """
     problems = validate_spec(spec)
     if problems:

@@ -37,7 +37,8 @@ class AggregatorFlagError(RiskGamesError, ValueError):
 
 
 class SweepFlagError(RiskGamesError, ValueError):
-    """A sweep's ``--axis`` names no type, or its ``--grid`` has fewer than two points."""
+    """A sweep's ``--axis`` names no type, its ``--grid`` has fewer than two
+    points, or its ``--out`` file cannot be opened for writing."""
 
 
 class EquilibriumVerificationError(RiskGamesError):

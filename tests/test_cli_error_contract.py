@@ -118,3 +118,30 @@ def test_huge_horizon_prints_what_horizon_10_prints(argv, tmp_path, capsys):
         assert captured.err == ""
         outputs.append(captured.out)
     assert outputs[0] == outputs[1]
+
+
+def _assert_one_error_line(rc, capsys):
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert ERROR_LINE.fullmatch(captured.err), captured.err
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("kind", ["directory", "not_utf8", "deep_array"])
+def test_unreadable_scenario_ends_in_one_error_line(kind, argv, tmp_path, capsys):
+    # a directory, bytes that are not UTF-8, or an array nested past any recursion limit
+    path = tmp_path / "scenario.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(b"\xff\xfe{")
+    else:
+        path.write_text("[" * 100_000 + "]" * 100_000)
+    _assert_one_error_line(main(["--scenario", str(path), *argv]), capsys)
+
+
+@pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["missing_dir", "directory"])
+def test_unwritable_sweep_out_ends_in_one_error_line(out, tmp_path, capsys):
+    rc = main(["--scenario", "graph_a", "sweep", "--out", str(tmp_path / out)])
+    _assert_one_error_line(rc, capsys)
+    assert not (tmp_path / "missing").exists()

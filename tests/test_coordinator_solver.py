@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -119,8 +120,8 @@ def test_tie_between_members_goes_to_the_lower_type():
     )
     solver = _IntegerSolver(spec)
     joint = 100 * solver.scale
-    later = {"B": {0b01: 0, 0b10: 0, 0b11: joint}, "C": {0b01: 0, 0b10: 0, 0b11: joint}}
-    value, machine, human, groups = solver._best("A", 0b11, 1, later, {})
+    later = {"B": [0, 0, 0, joint], "C": [0, 0, 0, joint]}  # values indexed by member mask
+    value, machine, human, groups = solver._best(0b11, *solver._rows("A", 1, later))
     assert (machine, human, groups) == ("N", [SILENT, "N"], {SILENT: 0b01, "N": 0b10})
     assert Fraction(value, solver.scale) == Fraction(3, 2)  # both move at cost 1, one pays the fee
 
@@ -198,8 +199,16 @@ def test_layers_and_count_equal_the_product_enumeration():
     specs = [(family, seed, make(seed)) for family, (make, seeds) in GAME_FAMILIES.items() for seed in range(seeds)]
     specs += [("cycle", 0, _cycle(12)), ("cycle", 1, _cycle(12, [("2", "1", "W")]))]
     for family, seed, spec in specs:
+        reference = states(spec)
+        # from period 2 on, each node reached holds every nonempty subset of the support
+        support = spec.positive_support()
+        subsets = {sub for r in range(1, len(support) + 1) for sub in itertools.combinations(support, r)}
+        for layer in reference[1:]:
+            nodes = {state.node for state in layer}
+            held = {(s.node, s.support) for s in layer}
+            assert held == {(node, sub) for node in nodes for sub in subsets}, (family, seed)
         layers = [set(layer.values()) for layer in _Engine(spec).layers()[1:]]
-        assert layers == states(spec), (family, seed)
+        assert layers == reference, (family, seed)
         assert count_deterministic_policies(spec) == product_count(spec), (family, seed)
 
 
