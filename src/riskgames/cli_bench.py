@@ -381,8 +381,11 @@ def _cmd_sweep(sc: ScenarioFile, args) -> int:
             raise SweepFlagError(
                 f"--out {args.out}: cannot open for writing: {type(exc).__name__}: {exc}"
             ) from None
-        with fh:
-            write_regret_csv(rows, fh)
+        try:
+            with fh:
+                write_regret_csv(rows, fh)
+        except OSError as exc:  # the file is left as the failed write left it
+            raise SweepFlagError(f"--out {args.out}: cannot write: {type(exc).__name__}: {exc}") from None
     else:
         write_regret_csv(rows, sys.stdout)
     return 0
@@ -471,9 +474,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         slug = type(exc).__name__
         print(f"error: {slug}: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        # stdout's reader stopped early (`| head`): discard the rest of the output
+    except OSError as exc:
+        # writing stdout failed, on a full device or because its reader stopped early (`| head`):
+        # discard the rest of the output, so that the flush at exit is quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return status
 

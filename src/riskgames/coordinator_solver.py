@@ -175,9 +175,8 @@ class _Engine:
     searches on. States are keyed by (node, support mask), bit k of the
     mask standing for the k-th type of the prior's support, and every
     subset of a support is named by its submask, whose splits
-    :meth:`_mask_splits` lists once per mask. :meth:`layers` builds the
-    states per period from the feasible moves that :meth:`moves` lists
-    once per (node, period).
+    :meth:`_mask_splits` lists once per mask. :meth:`layers` holds, per
+    period, each node's feasible moves next to its states.
     """
 
     def __init__(self, spec: GameSpec):
@@ -194,7 +193,6 @@ class _Engine:
         self.costs = {key: [m * b + f * v for f in factors] for key, (m, v) in moments.items()}
         self.scale, self.fee, self.stage = self.scaled_stages(self.weights)
         self._machine_acts: dict[str, tuple[str, ...]] = {}
-        self._move_cache: dict[tuple[str, int], list[tuple[int, str, str | None]]] = {}
         self._mask_split_cache: dict[int, list[tuple[int, int]]] = {}
 
     def machine_actions(self, node: str) -> tuple[str, ...]:
@@ -203,24 +201,6 @@ class _Engine:
             acts = self.spec.machine_moves(node)
             self._machine_acts[node] = acts
         return acts
-
-    def moves(self, node: str, t: int) -> list[tuple[int, str, str | None]]:
-        """The moves at ``node`` in period ``t`` whose destination can still finish in time.
-
-        Each is (rank, move, destination), in canonical order: rank is the
-        move's place among the node's machine actions counted from 1 (0 is
-        SILENT), and the destination is None for STOP. A destination is in
-        time when its dist moves plus one STOP period fit after period t.
-        """
-        moves = self._move_cache.get((node, t))
-        if moves is None:
-            moves = []
-            for rank, e in enumerate(self.machine_actions(node), 1):
-                dst = self.edge_dst.get((node, e))  # None for STOP
-                if dst is None or self.dist[dst] <= self.T - t - 1:
-                    moves.append((rank, e, dst))
-            self._move_cache[(node, t)] = moves
-        return moves
 
     def scaled_stages(self, weights: dict[int, Fraction | int]):
         """(scale, fee, stage): weighted fees and stage costs as integers over one denominator.
@@ -236,40 +216,55 @@ class _Engine:
         stage = {key: [f * row[i] for i, f in factors] for key, row in self.costs.items()}
         return self.denominator * lcm, fee, stage
 
-    def layers(self) -> list[dict[tuple[str, int], BeliefState]]:
-        """The states of each period, index 1 to T or to the last nonempty layer.
+    def layers(self) -> list[dict[str, tuple[list[tuple[int, str, str | None]], dict[int, BeliefState]]]]:
+        """Per period, index 1 to T or to the last nonempty layer, {node: (moves, {mask: state})}.
 
-        The successors of a state are every nonempty subset of its support
-        after every move whose destination can still finish in time: each
-        of them is a group's child under some feasible prescription, which
-        is the set an exhaustive search visits. The root holds the whole
-        support, so every later period holds the nodes that the previous
-        period's nodes reach by those moves, each with every nonempty
-        support mask. So no layer follows an empty one, and on a cycle
-        :func:`_check_state_guard` bounds the layers before each is built.
-        Only the solver and the oracle read them. They depend on the prior
-        only through its support, so they are kept by support in the spec's
-        ``layer_memo``, which :func:`~riskgames.game_model.with_prior` copies
-        share; layers that pass the guard are not kept.
+        A node's moves are the (rank, move, destination) that can still
+        finish in time, the destination's dist moves plus one STOP period
+        fitting after the period, in canonical order: rank is the move's
+        place among the node's machine actions counted from 1 (0 is SILENT),
+        and the destination is None for STOP. A state's successors are every
+        nonempty subset of its support after every such move, the set an
+        exhaustive search visits. Period 1 holds the root alone, at the full
+        mask, so every later period holds the nodes the previous period's
+        moves reach, each with every nonempty mask in ascending order, and no
+        layer follows an empty one. Only a cycle has states after period |V|;
+        there the layers end in :class:`EnumerationGuardError` once the states
+        built, plus as many per period left, pass :data:`STATE_GUARD`. Only
+        the solver and the oracle read the layers. They depend on the prior
+        only through its support, so the spec's ``layer_memo`` keeps them by
+        support, shared by :func:`~riskgames.game_model.with_prior` copies;
+        layers that pass the guard are not kept.
         """
         layers = self.spec.layer_memo.get(self.support0)
         if layers is not None:
             return layers
-        size = len(self.support0)
         subsets = [(mask, tuple(i for k, i in enumerate(self.support0) if mask >> k & 1))
-                   for mask in range(1, 1 << size)]
-        root = BeliefState(self.spec.start_node, self.support0, 1)
-        layers = [{}, {(root.node, (1 << size) - 1): root}]
-        nodes, built = [root.node], 1
-        for t in range(1, self.T):
-            nodes = dict.fromkeys(dst for node in nodes for _, _, dst in self.moves(node, t) if dst is not None)
+                   for mask in range(1, 1 << len(self.support0))]
+        layers, built = [{}], 1
+        nodes, masks = [self.spec.start_node], subsets[-1:]  # period 1: the root, at the full mask
+        for t in range(1, self.T + 1):
+            layer = {}
+            for node in nodes:
+                moves = []
+                for rank, e in enumerate(self.machine_actions(node), 1):
+                    dst = self.edge_dst.get((node, e))  # None for STOP
+                    if dst is None or self.dist[dst] <= self.T - t - 1:
+                        moves.append((rank, e, dst))
+                layer[node] = moves, {mask: BeliefState(node, support, t) for mask, support in masks}
+            layers.append(layer)
+            nodes = dict.fromkeys(dst for moves, _ in layer.values() for _, _, dst in moves if dst is not None)
             if not nodes:
                 break
             width = len(nodes) * len(subsets)
             built += width
-            _check_state_guard(self.spec, t + 1, built, width)
-            layers.append({(node, mask): BeliefState(node, support, t + 1)
-                           for node in nodes for mask, support in subsets})
+            projected = built + width * (self.T - t - 1)
+            if t + 1 > len(self.spec.nodes) and projected > STATE_GUARD:
+                raise EnumerationGuardError(
+                    f"{_count_text(projected)} belief states projected to the horizon exceed "
+                    f"the state guard of {STATE_GUARD}", bound=STATE_GUARD
+                )
+            masks = subsets
         self.spec.layer_memo[self.support0] = layers
         return layers
 
@@ -326,37 +321,36 @@ class _IntegerSolver(_Engine):
         later: dict[str, list[int]] = {}  # period t + 1's values per node, indexed by mask
         for t in range(len(layers) - 1, 0, -1):
             current: dict[str, list[int]] = {}
-            rows: dict[str, tuple] = {}  # this period's group rows per node
-            for (node, mask), state in layers[t].items():
-                found = rows.get(node)
-                if found is None:
-                    found = rows[node] = self._rows(node, t, later)
-                    current[node] = [0] * size
-                value, a_m, human, groups = self._best(mask, *found)
-                current[node][mask] = value
-                decision[state] = Prescription(a_m, tuple(zip(state.support, human)))
-                values[state] = Fraction(value, self.scale)
-                for signal, group in groups.items():
-                    effective = a_m if signal == SILENT else signal
-                    transitions[(state, signal)] = (
-                        None
-                        if effective == STOP
-                        else layers[t + 1][(self.edge_dst[(node, effective)], group)]
-                    )
+            for node, (moves, states) in layers[t].items():
+                rows = self._rows(node, moves, later)
+                current[node] = scaled = [0] * size
+                for mask, state in states.items():
+                    value, a_m, human, groups = self._best(mask, *rows)
+                    scaled[mask] = value
+                    decision[state] = Prescription(a_m, tuple(zip(state.support, human)))
+                    values[state] = Fraction(value, self.scale)
+                    for signal, group in groups.items():
+                        effective = a_m if signal == SILENT else signal
+                        transitions[(state, signal)] = (
+                            None
+                            if effective == STOP
+                            else layers[t + 1][self.edge_dst[(node, effective)]][1][group]
+                        )
             later = current
         return CoordinatorPolicy(
-            root=next(iter(layers[1].values())),
+            root=layers[1][self.spec.start_node][1][size - 1],
             decision=decision,
             value=values,
             transitions=transitions,
             weights=dict(self.weights),
         )
 
-    def _rows(self, node: str, t: int, later: dict[str, list[int]]):
-        """(signals, B**K, digits, overrides, silent rows) of ``node`` in period ``t``.
+    def _rows(self, node: str, moves: list[tuple[int, str, str | None]], later: dict[str, list[int]]):
+        """(signals, B**K, digits, overrides, silent rows) of ``node`` in one period.
 
-        Lists are indexed by member mask, and ``later[dst]`` holds period
-        t + 1's values at ``dst``, 0 at mask 0. Per feasible effective move,
+        ``moves`` are the node's feasible moves in that period (see
+        :meth:`layers`). Lists are indexed by member mask, and ``later[dst]``
+        holds the next period's values at ``dst``, 0 at mask 0. Per move,
         in canonical order, the override row holds the objective (see
         :meth:`_best`) of a group that signals the move, and the silent row,
         keyed by move, that of a group riding it silently. ``overrides``
@@ -366,7 +360,7 @@ class _IntegerSolver(_Engine):
         signals = (SILENT,) + self.machine_actions(node)
         shift, digits = self._digits(len(signals))
         overrides, silent = None, {}
-        for rank, e, dst in self.moves(node, t):
+        for rank, e, dst in moves:
             stage = self._stage_sums.get((node, e))
             if stage is None:
                 stage = self._stage_sums[(node, e)] = _mask_sums(self.stage[(node, e)])
@@ -427,14 +421,15 @@ def solve_dp(spec: GameSpec) -> CoordinatorPolicy:
     objective decompose across belief splits; route CVaR instances through
     :func:`brute_force_oracle` instead.
 
-    The induction walks period layers from T down to 1, without recursion.
-    Each (node, period) folds the best split of every member set among
-    the override signals, over every mask's splits, in about |A_h|·3^K
-    steps for K supported types; each state then matches its silent group
-    against it per machine action, in about |A_m|·2^|support| steps, where
-    trying every prescription takes |A_m|·|A_h|^K per state. The search
-    runs on integers scaled by one common denominator, and the tie-break
-    convention of the module docstring is folded into their low digits.
+    The induction walks period layers from T down to 1, node by node, with
+    no recursion. Over its layer's feasible moves, each (node, period) folds
+    the best split of every member set among the override signals, over
+    every mask's splits, in about |A_h|·3^K steps for K supported types;
+    each state then matches its silent group against it per machine action,
+    in about |A_m|·2^|support| steps, where trying every prescription takes
+    |A_m|·|A_h|^K per state. The search runs on integers scaled by one
+    common denominator, and the tie-break convention of the module docstring
+    is folded into their low digits.
     """
     problems = validate_spec(spec)
     if problems:
@@ -463,17 +458,18 @@ class _Oracle(_Engine):
     child varying slowest.
     """
 
-    def _fold(self, node: str, mask: int, t: int, rows, join, combine) -> list:
+    def _fold(self, node: str, mask: int, moves: list[tuple[int, str, str | None]], rows, join, combine) -> list:
         """Per machine action, the join over its prescriptions of their groups' combined rows.
 
-        ``rows(e, dst)`` gives the silent and the overriding group rows of
-        effective move ``e`` to ``dst`` (None for STOP), dicts over the
+        ``moves`` are the node's feasible moves in the period (see
+        :meth:`layers`). ``rows(e, dst)`` gives the silent and the overriding
+        group rows of move ``e`` to ``dst`` (None for STOP), dicts over the
         submasks of ``mask`` whose entry 0, the empty group, is the unit of
         ``combine``. A move that cannot finish in time takes no members.
         """
         splits = self._mask_splits(mask)
         groups = [None] * len(self.machine_actions(node))
-        for rank, e, dst in self.moves(node, t):
+        for rank, e, dst in moves:
             groups[rank - 1] = rows(e, dst)
         overrides = None
         for _, row in filter(None, groups):
@@ -493,8 +489,8 @@ class _Oracle(_Engine):
         later: dict = {}
         for t in range(len(layers) - 1, 0, -1):
             later = {
-                key: join(self._fold(*key, t, functools.partial(rows, later, *key), join, combine))
-                for key in layers[t]
+                key: join(self._fold(*key, moves, functools.partial(rows, later, *key), join, combine))
+                for node, (moves, states) in layers[t].items() for key in itertools.product([node], states)
             }
             yield t, later
 
@@ -558,11 +554,12 @@ class _Oracle(_Engine):
         price, denominator = _integer_pricer(
             self.spec.machine_aggregator, [self.weights[i] for i in self.support0]
         )
-        prices = {v: price(unpack(v)) for v in next(iter(tables[1].values()))}
+        ((root, vectors),) = tables[1].items()  # period 1 holds the root alone
+        prices = {v: price(unpack(v)) for v in vectors}
         best = min(prices.values())
 
         known = functools.cache(lambda t, node, mask, e, dst: rows(tables.get(t + 1), node, mask, e, dst))
-        queue = [(1, *next(iter(layers[1])), v) for v, p in prices.items() if p == best]
+        queue = [(1, *root, v) for v, p in prices.items() if p == best]
         ways = dict.fromkeys(queue)  # per (period, node, mask, vector): (machine action, groups) pairs
         for key in queue:
             t, node, mask, vector = key
@@ -578,7 +575,7 @@ class _Oracle(_Engine):
                     fit_rows.append(fits)
                 return fit_rows
 
-            found = self._fold(node, mask, t, split, *_CONCATENATION_PRODUCT)
+            found = self._fold(node, mask, layers[t][node][0], split, *_CONCATENATION_PRODUCT)
             acts = self.machine_actions(node)
             ways[key] = [(a_m, groups) for a_m, fits in zip(acts, found) for groups in fits]
             for _, groups in ways[key]:
@@ -609,17 +606,6 @@ class _Oracle(_Engine):
 # the (join, combine) pairs of _Oracle._fold besides (+, ×)
 _UNION_MINKOWSKI = (lambda parts: set().union(*parts), lambda a, b: {v + w for v in a for w in b})
 _CONCATENATION_PRODUCT = (lambda parts: sum(parts, []), lambda a, b: [x + y for x in a for y in b])
-
-
-def _check_state_guard(spec: GameSpec, period: int, built: int, width: int) -> None:
-    """Raise once the states built up to ``period``, plus ``width`` more per period left,
-    pass :data:`STATE_GUARD`. Only a cycle has states after period |V|."""
-    projected = built + width * (spec.horizon_T - period)
-    if period > len(spec.nodes) and projected > STATE_GUARD:
-        raise EnumerationGuardError(
-            f"{_count_text(projected)} belief states projected to the horizon exceed "
-            f"the state guard of {STATE_GUARD}", bound=STATE_GUARD
-        )
 
 
 def count_deterministic_policies(spec: GameSpec) -> int:

@@ -38,7 +38,7 @@ class AggregatorFlagError(RiskGamesError, ValueError):
 
 class SweepFlagError(RiskGamesError, ValueError):
     """A sweep's ``--axis`` names no type, its ``--grid`` has fewer than two
-    points, or its ``--out`` file cannot be opened for writing."""
+    points, or its ``--out`` file cannot be opened for writing or written."""
 
 
 class EquilibriumVerificationError(RiskGamesError):

@@ -10,12 +10,17 @@ what a short one prints.
 
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from riskgames import cli_bench
 from riskgames.cli_bench import load_scenario, main, scenario_to_dict
 
 BASE = scenario_to_dict(load_scenario("graph_a"))
@@ -145,3 +150,27 @@ def test_unwritable_sweep_out_ends_in_one_error_line(out, tmp_path, capsys):
     rc = main(["--scenario", "graph_a", "sweep", "--out", str(tmp_path / out)])
     _assert_one_error_line(rc, capsys)
     assert not (tmp_path / "missing").exists()
+
+
+FULL = Path("/dev/full")  # every write to it fails with "No space left on device"
+
+
+@pytest.mark.skipif(not FULL.exists(), reason="no /dev/full on this system")
+@pytest.mark.parametrize(
+    "argv, error", [(argv, "OSError") for argv in COMMANDS] + [(["sweep", "--out", str(FULL)], "SweepFlagError")],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_failed_output_write_ends_in_one_error_line(argv, error):
+    # stdout on a full device, or a sweep's --out file on one: the write or
+    # the close fails after the command ran, and the interpreter's exit flush
+    # must not print a second report
+    src = str(Path(cli_bench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with open(FULL, "w") as stdout:
+        done = subprocess.run(
+            [sys.executable, "-m", "riskgames.cli_bench", "--scenario", "graph_a", *argv],
+            env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+        )
+    assert done.returncode == 1 and ERROR_LINE.fullmatch(done.stderr), done.stderr
+    assert done.stderr.startswith(f"error: {error}: "), done.stderr
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr

@@ -121,7 +121,7 @@ def test_tie_between_members_goes_to_the_lower_type():
     solver = _IntegerSolver(spec)
     joint = 100 * solver.scale
     later = {"B": [0, 0, 0, joint], "C": [0, 0, 0, joint]}  # values indexed by member mask
-    value, machine, human, groups = solver._best(0b11, *solver._rows("A", 1, later))
+    value, machine, human, groups = solver._best(0b11, *solver._rows("A", solver.layers()[1]["A"][0], later))
     assert (machine, human, groups) == ("N", [SILENT, "N"], {SILENT: 0b01, "N": 0b10})
     assert Fraction(value, solver.scale) == Fraction(3, 2)  # both move at cost 1, one pays the fee
 
@@ -193,12 +193,16 @@ def _cycle(horizon: int, extra_edges=()) -> GameSpec:
     )
 
 
+def _layer_specs() -> list[tuple[str, int, GameSpec]]:
+    """(family, seed, spec) of every game family seed and two cycles, where states repeat nodes."""
+    specs = [(family, seed, make(seed)) for family, (make, seeds) in GAME_FAMILIES.items() for seed in range(seeds)]
+    return specs + [("cycle", 0, _cycle(12)), ("cycle", 1, _cycle(12, [("2", "1", "W")]))]
+
+
 def test_layers_and_count_equal_the_product_enumeration():
     # the engine's subset-split states and tree count against trying every
-    # prescription, up to five types and on cycles, where states repeat nodes
-    specs = [(family, seed, make(seed)) for family, (make, seeds) in GAME_FAMILIES.items() for seed in range(seeds)]
-    specs += [("cycle", 0, _cycle(12)), ("cycle", 1, _cycle(12, [("2", "1", "W")]))]
-    for family, seed, spec in specs:
+    # prescription, up to five types and on cycles
+    for family, seed, spec in _layer_specs():
         reference = states(spec)
         # from period 2 on, each node reached holds every nonempty subset of the support
         support = spec.positive_support()
@@ -207,9 +211,24 @@ def test_layers_and_count_equal_the_product_enumeration():
             nodes = {state.node for state in layer}
             held = {(s.node, s.support) for s in layer}
             assert held == {(node, sub) for node in nodes for sub in subsets}, (family, seed)
-        layers = [set(layer.values()) for layer in _Engine(spec).layers()[1:]]
+        layers = [{s for _, held in layer.values() for s in held.values()} for layer in _Engine(spec).layers()[1:]]
         assert layers == reference, (family, seed)
         assert count_deterministic_policies(spec) == product_count(spec), (family, seed)
+
+
+def test_layer_moves_are_the_moves_that_finish_in_time():
+    # a move is feasible in period t when it is STOP, or when its destination,
+    # entered in period t + 1, can still reach a terminal and STOP by the horizon
+    for family, seed, spec in _layer_specs():
+        dist, T = spec.steps_to_terminal, spec.horizon_T
+        for t, layer in enumerate(_Engine(spec).layers()[1:], 1):
+            for node, (moves, _) in layer.items():
+                expected = []
+                for rank, e in enumerate(spec.machine_moves(node), 1):
+                    dst = None if e == STOP else spec.out_edges[node][e].dst
+                    if dst is None or t + 1 + dist[dst] <= T:
+                        expected.append((rank, e, dst))
+                assert moves == expected, (family, seed, t, node)
 
 
 def test_oracle_rejects_a_horizon_too_short_to_finish(graph_a):

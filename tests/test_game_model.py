@@ -261,8 +261,14 @@ def test_with_prior_shares_the_prior_free_tables():
     assert "_exact_prior" not in vars(swapped)
     assert swapped.exact_prior() == {0: Fraction(1, 4), 1: Fraction(3, 4)}
     layers = spec.layer_memo[(0, 1)]
-    solve_dp(swapped)  # same support: the layers are read back, not rebuilt
+
+    def move_lists(spec):
+        return [moves for layer in spec.layer_memo[(0, 1)] for moves, _ in layer.values()]
+
+    source_moves = move_lists(spec)
+    solve_dp(swapped)  # same support: the layers and their move lists are read back, not rebuilt
     assert list(spec.layer_memo) == [(0, 1)] and spec.layer_memo[(0, 1)] is layers
+    assert all(a is b for a, b in zip(move_lists(swapped), source_moves, strict=True))
     # a fresh source gets the layer memo its copies share; nothing else is computed for them
     fresh = make_diamond()
     assert cached & set(vars(with_prior(fresh, (1.0, 0.0)))) == {"layer_memo"}
