@@ -168,12 +168,12 @@ class TypeTrajectory:
 class _Engine:
     """Shared exact-cost tables and state space for the solver, oracle and verifier.
 
-    Type i's stage cost m + θ_i·v of effective move ``e`` at ``node`` (STOP
-    included) is ``costs[(node, e)][i] / denominator``, and the fee
-    ``charge / denominator``; ``scale``, ``fee`` and ``stage`` are the same
-    costs weighted by the prior (:meth:`scaled_stages`), which the solver
-    searches on. States are keyed by (node, support mask), bit k of the
-    mask standing for the k-th type of the prior's support, and every
+    Built at construction: type i's stage cost m + θ_i·v of effective move
+    ``e`` at ``node`` (STOP included) is ``costs[(node, e)][i] / denominator``,
+    the fee ``charge / denominator``, and ``machine_actions[node]`` holds the
+    node's machine actions in canonical order. :meth:`scaled_stages` weighs
+    the costs by a prior. States are keyed by (node, support mask), bit k of
+    the mask standing for the k-th type of the prior's support, and every
     subset of a support is named by its submask, whose splits
     :meth:`_mask_splits` lists once per mask. :meth:`layers` holds, per
     period, each node's feasible moves next to its states.
@@ -191,16 +191,8 @@ class _Engine:
         self.denominator, self.charge = d * b, fee * b
         factors = [th.numerator * (b // th.denominator) for th in spec.exact_types]
         self.costs = {key: [m * b + f * v for f in factors] for key, (m, v) in moments.items()}
-        self.scale, self.fee, self.stage = self.scaled_stages(self.weights)
-        self._machine_acts: dict[str, tuple[str, ...]] = {}
+        self.machine_actions = {node: spec.machine_moves(node) for node in spec.nodes}
         self._mask_split_cache: dict[int, list[tuple[int, int]]] = {}
-
-    def machine_actions(self, node: str) -> tuple[str, ...]:
-        acts = self._machine_acts.get(node)
-        if acts is None:
-            acts = self.spec.machine_moves(node)
-            self._machine_acts[node] = acts
-        return acts
 
     def scaled_stages(self, weights: dict[int, Fraction | int]):
         """(scale, fee, stage): weighted fees and stage costs as integers over one denominator.
@@ -234,23 +226,24 @@ class _Engine:
         the solver and the oracle read the layers. They depend on the prior
         only through its support, so the spec's ``layer_memo`` keeps them by
         support, shared by :func:`~riskgames.game_model.with_prior` copies;
-        layers that pass the guard are not kept.
+        layers that pass the guard are not kept. Equal move lists share one list.
         """
         layers = self.spec.layer_memo.get(self.support0)
         if layers is not None:
             return layers
         subsets = [(mask, tuple(i for k, i in enumerate(self.support0) if mask >> k & 1))
                    for mask in range(1, 1 << len(self.support0))]
-        layers, built = [{}], 1
+        layers, built, shared = [{}], 1, {}
         nodes, masks = [self.spec.start_node], subsets[-1:]  # period 1: the root, at the full mask
         for t in range(1, self.T + 1):
             layer = {}
             for node in nodes:
                 moves = []
-                for rank, e in enumerate(self.machine_actions(node), 1):
+                for rank, e in enumerate(self.machine_actions[node], 1):
                     dst = self.edge_dst.get((node, e))  # None for STOP
                     if dst is None or self.dist[dst] <= self.T - t - 1:
                         moves.append((rank, e, dst))
+                moves = shared.setdefault(tuple(moves), moves)
                 layer[node] = moves, {mask: BeliefState(node, support, t) for mask, support in masks}
             layers.append(layer)
             nodes = dict.fromkeys(dst for moves, _ in layer.values() for _, _, dst in moves if dst is not None)
@@ -269,7 +262,8 @@ class _Engine:
         return layers
 
     def _mask_splits(self, mask: int) -> list[tuple[int, int]]:
-        """Every (G, mask without G) for G a submask of ``mask``: G = 0 first, then descending."""
+        """Every (G, mask without G) for G a submask of ``mask``: G = 0 first, then descending;
+        built on first use, so none of K types' 3^K splits precedes the state guard of :meth:`layers`."""
         splits = self._mask_split_cache.get(mask)
         if splits is None:
             splits, sub = [(0, mask)], mask
@@ -293,24 +287,20 @@ class _IntegerSolver(_Engine):
 
     Every weighted stage cost and weighted fee is an integer multiple of
     ``1 / scale``, so values are kept as those integers and become
-    Fractions only when the policy tables are built.
+    Fractions only when the policy tables are built. The constructor sums,
+    per member mask, the weighted fee and every move's weighted stage cost
+    over the mask's types, and builds, per signal count B at the spec's
+    nodes, the (B**K, digits) that carry the tie-break (see :meth:`_best`).
     """
 
     def __init__(self, spec: GameSpec):
         super().__init__(spec)
-        self._fee_sums = _mask_sums(self.fee)
-        self._stage_sums: dict[tuple[str, str], list[int]] = {}
-        self._digit_cache: dict[int, tuple[int, list[int]]] = {}
-
-    def _digits(self, base: int) -> tuple[int, list[int]]:
-        """(base**K, digits) for the K types of the prior's support: ``digits[m]``
-        is the sum of base**(K - 1 - k) over the type positions k of mask m."""
-        found = self._digit_cache.get(base)
-        if found is None:
-            size = len(self.support0)
-            found = base**size, _mask_sums([base ** (size - 1 - k) for k in range(size)])
-            self._digit_cache[base] = found
-        return found
+        self.scale, fee, stage = self.scaled_stages(self.weights)
+        self._fee_sums = _mask_sums(fee)
+        self._stage_sums = {key: _mask_sums(row) for key, row in stage.items()}
+        size = len(self.support0)
+        self._digits = {base: (base**size, _mask_sums([base ** (size - 1 - k) for k in range(size)]))
+                        for base in {len(acts) + 1 for acts in self.machine_actions.values()}}
 
     def policy(self) -> CoordinatorPolicy:
         layers = self.layers()
@@ -357,15 +347,12 @@ class _IntegerSolver(_Engine):
         holds the least objective per member set split among all the
         override signals, folded row by row over every mask's splits.
         """
-        signals = (SILENT,) + self.machine_actions(node)
-        shift, digits = self._digits(len(signals))
+        signals = (SILENT,) + self.machine_actions[node]
+        shift, digits = self._digits[len(signals)]
         overrides, silent = None, {}
         for rank, e, dst in moves:
-            stage = self._stage_sums.get((node, e))
-            if stage is None:
-                stage = self._stage_sums[(node, e)] = _mask_sums(self.stage[(node, e)])
             tail = itertools.repeat(0) if dst is None else later[dst]
-            silent[e] = row = [(c + v) * shift for c, v in zip(stage, tail)]
+            silent[e] = row = [(c + v) * shift for c, v in zip(self._stage_sums[(node, e)], tail)]
             override = [c + f * shift + rank * d for c, f, d in zip(row, self._fee_sums, digits)]
             overrides = override if overrides is None else [
                 min([overrides[rest] + override[part] for part, rest in self._mask_splits(mask)])
@@ -468,7 +455,7 @@ class _Oracle(_Engine):
         ``combine``. A move that cannot finish in time takes no members.
         """
         splits = self._mask_splits(mask)
-        groups = [None] * len(self.machine_actions(node))
+        groups = [None] * len(self.machine_actions[node])
         for rank, e, dst in moves:
             groups[rank - 1] = rows(e, dst)
         overrides = None
@@ -539,11 +526,11 @@ class _Oracle(_Engine):
             return entries
 
         fee_sums = _mask_sums(fee)
-        stage_sums = functools.cache(lambda node, e: _mask_sums(stage[(node, e)]))
+        stage_sums = {key: _mask_sums(row) for key, row in stage.items()}
 
         def rows(later, node, mask, e, dst):
             # per member set, its group vectors, each mapped to its subtree's (0 after STOP)
-            costs, silent, override = stage_sums(node, e), {0: {0: 0}}, {0: {0: 0}}
+            costs, silent, override = stage_sums[(node, e)], {0: {0: 0}}, {0: {0: 0}}
             for sub, _ in self._mask_splits(mask)[1:]:
                 tails = (0,) if dst is None else later[(dst, sub)]
                 silent[sub] = {costs[sub] + w: w for w in tails}
@@ -576,7 +563,7 @@ class _Oracle(_Engine):
                 return fit_rows
 
             found = self._fold(node, mask, layers[t][node][0], split, *_CONCATENATION_PRODUCT)
-            acts = self.machine_actions(node)
+            acts = self.machine_actions[node]
             ways[key] = [(a_m, groups) for a_m, fits in zip(acts, found) for groups in fits]
             for _, groups in ways[key]:
                 for sub, _, dst, w in groups:
@@ -921,9 +908,7 @@ def _machine_best_response(engine: _Engine, policy: CoordinatorPolicy, budget: _
     Raises ValueError at the first state whose support holds a type the
     policy gives no weight or its prescription no signal.
     """
-    # the engine's tables, unless the policy was solved under another prior than the spec's
-    same = policy.weights == engine.weights
-    scale, fee, stage = (engine.scale, engine.fee, engine.stage) if same else engine.scaled_stages(policy.weights)
+    scale, fee, stage = engine.scaled_stages(policy.weights)
     position = {i: k for k, i in enumerate(sorted(policy.weights))}
 
     def options(state: BeliefState, presc: Prescription):
@@ -935,7 +920,7 @@ def _machine_best_response(engine: _Engine, policy: CoordinatorPolicy, budget: _
                 raise ValueError(f"type {i} at {state} has no policy weight")
             groups.setdefault(human[i], []).append(i)
         groups = [(signal, tuple(members), [position[i] for i in members]) for signal, members in groups.items()]
-        for a_m in engine.machine_actions(state.node):
+        for a_m in engine.machine_actions.get(state.node, ()):  # none off the spec's graph
             cost, children = 0, []
             for signal, members, positions in groups:
                 effective = a_m if signal == SILENT else signal
@@ -1012,7 +997,7 @@ def _belief_problem(spec: GameSpec, policy: CoordinatorPolicy) -> str | None:
             belief = Belief.from_weights({i: weights[i] for i in state.support})
         except KeyError as missing:
             return f"type {missing.args[0]} at {state} has no policy weight"
-        for signal in sorted(set(slice_map.values()), key=_HUMAN_RANK.__getitem__):
+        for signal in sorted({slice_map[i] for i in state.support}, key=_HUMAN_RANK.__getitem__):
             updated = bayes_update(belief, signal, slice_map)
             effective = signal if signal != SILENT else presc.machine
             key = (state, signal)

@@ -218,9 +218,11 @@ def test_layers_and_count_equal_the_product_enumeration():
 
 def test_layer_moves_are_the_moves_that_finish_in_time():
     # a move is feasible in period t when it is STOP, or when its destination,
-    # entered in period t + 1, can still reach a terminal and STOP by the horizon
+    # entered in period t + 1, can still reach a terminal and STOP by the horizon;
+    # a node's periods with equal feasible moves share one list
     for family, seed, spec in _layer_specs():
         dist, T = spec.steps_to_terminal, spec.horizon_T
+        kept: dict[str, list] = {}
         for t, layer in enumerate(_Engine(spec).layers()[1:], 1):
             for node, (moves, _) in layer.items():
                 expected = []
@@ -229,6 +231,9 @@ def test_layer_moves_are_the_moves_that_finish_in_time():
                     if dst is None or t + 1 + dist[dst] <= T:
                         expected.append((rank, e, dst))
                 assert moves == expected, (family, seed, t, node)
+                for earlier in kept.setdefault(node, []):
+                    assert earlier is moves or earlier != moves, (family, seed, t, node)
+                kept[node].append(moves)
 
 
 def test_oracle_rejects_a_horizon_too_short_to_finish(graph_a):
@@ -610,6 +615,7 @@ def _braced_worse_machine(spec, _):
 
 _S2, _S3 = BeliefState("2", (0, 1), 2), BeliefState("3", (0, 1), 3)
 _S4_TYPE_0 = BeliefState("4", (0,), 4)
+_OFF_GRAPH = BeliefState("not a node", (0, 1), 1)
 _ROOT_LACKS_TYPE_1 = "no signal for type 1 at BeliefState(node='1', support=(0, 1), period=1)"
 _MACHINE_OK = CheckResult("machine_ic", True, "no improving machine deviation", Fraction(0))
 _MACHINE_UNDEFINED = CheckResult("machine_ic", False, "machine best response is undefined")
@@ -756,6 +762,26 @@ _RIDER_0_GAINS = (
             id="prescription-lacks-type",
         ),
         pytest.param(
+            lambda s, p: (s, replace(
+                p, root=_OFF_GRAPH, decision={**p.decision, _OFF_GRAPH: p.decision[p.root]},
+                value={**p.value, _OFF_GRAPH: p.value[p.root]},
+            )),
+            _MACHINE_UNDEFINED,
+            _playout_undefined(f"policy transition missing at {_OFF_GRAPH} for signal 'SILENT'"),
+            _belief_failure(f"transition missing at {_OFF_GRAPH} for observed 'SILENT'"),
+            id="root-off-the-graph",
+        ),
+        pytest.param(
+            # an entry for a type outside the support, with a signal no supported type sends
+            lambda s, p: (s, replace(p, decision={
+                **p.decision, p.root: replace(p.decision[p.root], human=p.decision[p.root].human + ((5, "N"),))
+            })),
+            _MACHINE_OK,
+            _RIDERS_OK,
+            _BELIEF_OK,
+            id="entry-outside-the-support",
+        ),
+        pytest.param(
             lambda s, p: (s, replace(p, transitions={
                 **p.transitions, (_S3, SILENT): BeliefState("5", (0, 1), 4)
             })),
@@ -832,6 +858,16 @@ def test_integer_stage_tables_equal_exact_moments(graph_a, graph_b):
                 assert Fraction(row[i] + engine.charge, engine.denominator) == criterion + q
             for k, i in enumerate(sorted(weights)):
                 assert Fraction(stage[(node, move)][k], scale) == weights[i] * want[i]
+        # the solver's tables, built at construction: per member mask m, the
+        # weighted fee and every move's weighted stage cost summed over m's bits
+        solver = _IntegerSolver(spec)
+        assert solver.scale == scale and set(solver._stage_sums) == set(stage)
+        for m in range(1 << len(weights)):
+            bits = [k for k in range(len(weights)) if m >> k & 1]
+            assert solver._fee_sums[m] == sum(fee[k] for k in bits)
+            for key, row in stage.items():
+                assert solver._stage_sums[key][m] == sum(row[k] for k in bits), key
+        assert {len(spec.machine_moves(node)) + 1 for node in spec.nodes} <= set(solver._digits)
 
 
 def test_solve_dp_rejects_cvar_aggregator(diamond):
