@@ -51,6 +51,7 @@ import functools
 import itertools
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -115,13 +116,15 @@ class CoordinatorPolicy:
     explored (a superset of the on-path states), which is what the
     equilibrium verifier needs to price unilateral deviations.
     ``transitions`` maps (state, observed human action) to the successor
-    state, or None when that branch stops.
+    state, or None when that branch stops. Any mappings will do; those of
+    :func:`solve_dp` are read-only views that build a value's ``Fraction``
+    per read and decode ``decision`` and ``transitions`` on the first read.
     """
 
     root: BeliefState
-    decision: dict[BeliefState, Prescription]
-    value: dict[BeliefState, Fraction]
-    transitions: dict[tuple[BeliefState, str], BeliefState | None]
+    decision: Mapping[BeliefState, Prescription]
+    value: Mapping[BeliefState, Fraction]
+    transitions: Mapping[tuple[BeliefState, str], BeliefState | None]
     weights: dict[int, Fraction]
 
 
@@ -286,11 +289,12 @@ class _IntegerSolver(_Engine):
     """Backward induction over the engine's period layers, prescription search by subset DP.
 
     Every weighted stage cost and weighted fee is an integer multiple of
-    ``1 / scale``, so values are kept as those integers and become
-    Fractions only when the policy tables are built. The constructor sums,
-    per member mask, the weighted fee and every move's weighted stage cost
-    over the mask's types, and builds, per signal count B at the spec's
-    nodes, the (B**K, digits) that carry the tie-break (see :meth:`_best`).
+    ``1 / scale``, so values are kept as those integers; the policy's
+    tables are views of them (:class:`_ValueTable`, :class:`_DecodedTable`).
+    The constructor sums, per member mask, the weighted fee and every
+    move's weighted stage cost over the mask's types, and builds, per signal
+    count B at the spec's nodes, the (B**K, digits) that carry the
+    tie-break (see :meth:`_best`).
     """
 
     def __init__(self, spec: GameSpec):
@@ -303,40 +307,25 @@ class _IntegerSolver(_Engine):
                         for base in {len(acts) + 1 for acts in self.machine_actions.values()}}
 
     def policy(self) -> CoordinatorPolicy:
-        layers = self.layers()
-        decision: dict[BeliefState, Prescription] = {}
-        values: dict[BeliefState, Fraction] = {}
-        transitions: dict[tuple[BeliefState, str], BeliefState | None] = {}
+        self._layers = layers = self.layers()
         size = 1 << len(self.support0)
-        later: dict[str, list[int]] = {}  # period t + 1's values per node, indexed by mask
+        # per period, and one empty past the last: {node: scaled value per mask}, {node: _best per mask}
+        self._values = values = [{} for _ in range(len(layers) + 1)]
+        self._won = won = [{} for _ in values]
         for t in range(len(layers) - 1, 0, -1):
-            current: dict[str, list[int]] = {}
             for node, (moves, states) in layers[t].items():
-                rows = self._rows(node, moves, later)
-                current[node] = scaled = [0] * size
-                for mask, state in states.items():
-                    value, a_m, human, groups = self._best(mask, *rows)
-                    scaled[mask] = value
-                    decision[state] = Prescription(a_m, tuple(zip(state.support, human)))
-                    values[state] = Fraction(value, self.scale)
-                    for signal, group in groups.items():
-                        effective = a_m if signal == SILENT else signal
-                        transitions[(state, signal)] = (
-                            None
-                            if effective == STOP
-                            else layers[t + 1][self.edge_dst[(node, effective)]][1][group]
-                        )
-            later = current
-        return CoordinatorPolicy(
-            root=layers[1][self.spec.start_node][1][size - 1],
-            decision=decision,
-            value=values,
-            transitions=transitions,
-            weights=dict(self.weights),
-        )
+                rows = self._rows(node, moves, values[t + 1])
+                values[t][node], won[t][node] = scaled, best = [0] * size, [None] * size
+                for mask in states:
+                    best[mask] = self._best(mask, *rows)
+                    scaled[mask] = best[mask][0] // rows[1]
+        self._mask_split_cache.clear()  # 3^K splits for K types: the tables' reads need none
+        decision, transitions = _DecodedTable(self, 0), _DecodedTable(self, 1)
+        return CoordinatorPolicy(root=layers[1][self.spec.start_node][1][size - 1], decision=decision,
+                                 value=_ValueTable(self), transitions=transitions, weights=dict(self.weights))
 
     def _rows(self, node: str, moves: list[tuple[int, str, str | None]], later: dict[str, list[int]]):
-        """(signals, B**K, digits, overrides, silent rows) of ``node`` in one period.
+        """(signals, B**K, overrides, silent rows) of ``node`` in one period.
 
         ``moves`` are the node's feasible moves in that period (see
         :meth:`layers`). Lists are indexed by member mask, and ``later[dst]``
@@ -358,23 +347,23 @@ class _IntegerSolver(_Engine):
                 min([overrides[rest] + override[part] for part, rest in self._mask_splits(mask)])
                 for mask in range(len(override))
             ]
-        return signals, shift, digits, overrides, silent
+        return signals, shift, overrides, silent
 
-    def _best(self, mask: int, signals, shift: int, digits: list[int], overrides: list[int], silent: dict):
-        """(scaled value, machine action, signal per member, member mask per signal)
-        of the optimum of the state with member ``mask``, from its node's :meth:`_rows`.
+    def _best(self, mask: int, signals, shift: int, overrides: list[int], silent: dict) -> tuple[int, str]:
+        """(objective, machine action) of the optimum of the state with
+        member ``mask``, from its node's :meth:`_rows`.
 
         A signal group's cost depends only on its signal and member set.
         With B signals at the node and K types in the prior's support, a
         prescription's objective is its scaled value times B**K plus the
         base-B number whose digit at type position k is the signal rank of
-        that type, or 0 for a type outside the state's support. So the least
-        objective is the least value and, among equal values, the first
-        signal assignment in the documented order, and the objective of a
-        group, or of a member set split among the override signals, depends
-        on the node, the period and the member mask alone. Machine actions
-        are compared on the value alone, in order, so the first of equal
-        ones wins.
+        that type, or 0 for a type outside the state's support (see
+        :func:`_member_signals`). So the least objective is the least value
+        and, among equal values, the first signal assignment in the
+        documented order, and the objective of a group, or of a member set
+        split among the override signals, depends on the node, the period
+        and the member mask alone. Machine actions are compared on the value
+        alone, in order, so the first of equal ones wins.
         """
         # the silent group's members follow the machine action
         splits = self._mask_splits(mask)
@@ -387,15 +376,89 @@ class _IntegerSolver(_Engine):
                 objective = min([row[part] + overrides[rest] for part, rest in splits])
             if best is None or objective // shift < best[0] // shift:
                 best = (objective, a_m)
-        value, code = divmod(best[0], shift)
-        human, groups = [], {}
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            signal = signals[code // digits[bit] % len(signals)]
-            human.append(signal)
-            groups[signal] = groups.get(signal, 0) | bit
-        return value, best[1], human, groups
+        return best
+
+    @functools.cached_property
+    def _decoded(self) -> tuple[dict, dict]:
+        """(decision, transitions) of every state, decoded from the induction's record in one pass."""
+        layers, decision, transitions = self._layers, {}, {}
+        for t in range(len(layers) - 1, 0, -1):
+            for node, (_, states) in layers[t].items():
+                signals = (SILENT,) + self.machine_actions[node]
+                shift, digits = self._digits[len(signals)]
+                best = self._won[t][node]
+                for mask, state in states.items():
+                    objective, a_m = best[mask]
+                    human, groups = _member_signals(objective % shift, mask, signals, digits)
+                    decision[state] = Prescription(a_m, tuple(zip(state.support, human)))
+                    for signal, group in groups.items():
+                        dst = self.edge_dst.get((node, a_m if signal == SILENT else signal))  # None for STOP
+                        transitions[(state, signal)] = None if dst is None else layers[t + 1][dst][1][group]
+        return decision, transitions
+
+
+def _member_signals(code: int, mask: int, signals, digits: list[int]) -> tuple[list[str], dict[str, int]]:
+    """(signal per member, member mask per signal) of the tie-break ``code`` of a member ``mask``."""
+    human, groups = [], {}
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        signal = signals[code // digits[bit] % len(signals)]
+        human.append(signal)
+        groups[signal] = groups.get(signal, 0) | bit
+    return human, groups
+
+
+class _ValueTable(Mapping):
+    """A solve's value table over its integer record: one ``Fraction`` per read, with no memo.
+    A key that is not a state of the solve's layers reads as missing."""
+
+    def __init__(self, solver: _IntegerSolver):
+        self._solver = solver
+
+    def __getitem__(self, state: BeliefState) -> Fraction:
+        solver = self._solver
+        try:
+            node, support, t = state
+            mask = sum(1 << solver.support0.index(i) for i in support)
+            if solver._layers[t][node][1][mask] == state:
+                return Fraction(solver._values[t][node][mask], solver.scale)
+        except (TypeError, ValueError, KeyError, IndexError):
+            pass
+        raise KeyError(state)
+
+    def __iter__(self):  # from the last period back, as the induction runs
+        layers = reversed(self._solver._layers)
+        return (state for layer in layers for _, states in layer.values() for state in states.values())
+
+    def __len__(self) -> int:
+        return sum(len(states) for layer in self._solver._layers for _, states in layer.values())
+
+
+class _DecodedTable(Mapping):
+    """A solve's decision (``which`` 0) or transition table (1), decoded with the other
+    on the first read of either; ``get`` is then the decoded dict's own method."""
+
+    def __init__(self, solver: _IntegerSolver, which: int):
+        self._solver, self._which = solver, which
+
+    @functools.cached_property
+    def _table(self) -> dict:
+        table = self._solver._decoded[self._which]
+        self.get = table.get  # the verifier and playout call get on every state they reach
+        return table
+
+    def get(self, key, default=None):
+        return self._table.get(key, default)
+
+    def __getitem__(self, key):
+        return self._table[key]
+
+    def __iter__(self):
+        return iter(self._table)
+
+    def __len__(self) -> int:
+        return len(self._table)
 
 
 def solve_dp(spec: GameSpec) -> CoordinatorPolicy:
@@ -954,7 +1017,8 @@ def _human_best_response(
     """
 
     def options(state: BeliefState, presc: Prescription):
-        for a in sorted(set(presc.human_map.values()), key=_HUMAN_RANK.__getitem__):
+        human = presc.human_map
+        for a in sorted({human[i] for i in state.support if i in human}, key=_HUMAN_RANK.__getitem__):
             effective = presc.machine if a == SILENT else a
             row = engine.costs.get((state.node, effective))
             if row is None:  # no edge for the move, or STOP off a terminal: a dead end
@@ -1038,9 +1102,11 @@ def verify_equilibrium(
     """
     engine = _Engine(spec)
     budget = _Budget(deviation_budget)
-    root_value = policy.value[policy.root]
+    root_value = policy.value.get(policy.root)
 
     try:
+        if root_value is None:
+            raise ValueError(f"the policy has no value at its root {policy.root}")
         best_m, moves = _machine_best_response(engine, policy, budget)
     except ValueError as exc:
         machine_ic = CheckResult("machine_ic", False, f"machine best response is undefined: {exc}")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import make_diamond
 from instance_gen import oracle_sized_game, random_game, seeded_lattice
 from reference_oracle import product_count, reference_induction, reference_oracle, states
-from riskgames import EXPECTATION, Aggregator, CostDistribution, Edge, GameSpec
+from riskgames import EXPECTATION, Aggregator, CostDistribution, Edge, GameSpec, coordinator_solver
 from riskgames.baseline_planners import (
     RealizedPlan,
     average_theta,
@@ -27,6 +27,7 @@ from riskgames.coordinator_solver import (
     _Engine,
     _IntegerSolver,
     _integer_pricer,
+    _member_signals,
     aggregate,
     brute_force_oracle,
     count_deterministic_policies,
@@ -42,7 +43,7 @@ from riskgames.errors import (
     SpecValidationError,
     UnsupportedAggregatorError,
 )
-from riskgames.evaluation import _sweep_priors
+from riskgames.evaluation import _sweep_priors, prior_sweep
 from riskgames.game_model import SILENT, STOP, as_fraction, path_criterion, with_prior
 
 
@@ -121,7 +122,10 @@ def test_tie_between_members_goes_to_the_lower_type():
     solver = _IntegerSolver(spec)
     joint = 100 * solver.scale
     later = {"B": [0, 0, 0, joint], "C": [0, 0, 0, joint]}  # values indexed by member mask
-    value, machine, human, groups = solver._best(0b11, *solver._rows("A", solver.layers()[1]["A"][0], later))
+    signals, shift, *rows = solver._rows("A", solver.layers()[1]["A"][0], later)
+    objective, machine = solver._best(0b11, signals, shift, *rows)
+    value, code = divmod(objective, shift)
+    human, groups = _member_signals(code, 0b11, signals, solver._digits[len(signals)][1])
     assert (machine, human, groups) == ("N", [SILENT, "N"], {SILENT: 0b01, "N": 0b10})
     assert Fraction(value, solver.scale) == Fraction(3, 2)  # both move at cost 1, one pays the fee
 
@@ -168,6 +172,76 @@ def test_dp_equals_reference_induction_on_swept_priors(graph_b):
             spec = with_prior(graph_b, _sweep_priors(graph_b, axis, Fraction(p)))
             policy = solve_dp(spec)
             assert (policy.decision, policy.value, policy.transitions) == reference_induction(spec), (axis, p)
+
+
+def _solved_tables(graph_a, graph_b):
+    """(label, policy) for graph_a, graph_b, a swept graph_b, and one whose prior holds type 0 alone."""
+    swept = with_prior(graph_b, _sweep_priors(graph_b, 0, Fraction(1, 2)))
+    gone = with_prior(graph_b, _sweep_priors(graph_b, 0, Fraction(1)))
+    return [(label, solve_dp(spec)) for label, spec in
+            (("graph_a", graph_a), ("graph_b", graph_b), ("swept", swept), ("type 0 alone", gone))]
+
+
+def test_solved_tables_are_read_only_mappings(graph_a, graph_b):
+    for label, policy in _solved_tables(graph_a, graph_b):
+        for name in ("value", "decision", "transitions"):
+            table = getattr(policy, name)
+            plain = dict(table)
+            assert len(table) == len(plain) and list(table) == list(plain), (label, name)
+            assert table == plain and dict(table.items()) == plain, (label, name)
+            for key, entry in plain.items():
+                assert key in table and table.get(key) == table[key] == entry, (label, name, key)
+            with pytest.raises(TypeError):
+                table[next(iter(plain))] = None
+        assert set(policy.value) == set(policy.decision)
+        assert {state for state, _ in policy.transitions} == set(policy.decision)
+
+
+def test_solved_tables_read_off_layer_keys_as_missing(graph_a, graph_b):
+    for label, policy in _solved_tables(graph_a, graph_b):
+        node, support, period = root = policy.root
+        later = next(s for s in policy.value if s.period == 2)
+        missing = [
+            BeliefState(node, support, 2),  # a period that holds other nodes
+            BeliefState(node, support, 0),
+            BeliefState(node, support, -1),
+            BeliefState(node, support, 10**6),
+            BeliefState("no such node", support, period),
+            BeliefState(later.node, (*later.support, 7), 2),  # a type outside the prior's support
+            BeliefState(later.node, tuple(reversed(later.support)) * 2, 2),
+            BeliefState(later.node, (), 2),
+            BeliefState(node, (0, 1, 2, 3), period),
+            (node, support),
+            (node, 0, period),
+            "root",
+            7,
+        ]
+        if label == "type 0 alone":
+            missing.append(BeliefState(later.node, (0, 1), 2))
+        for key in missing:
+            lookups = ((policy.value, key), (policy.decision, key), (policy.transitions, (key, SILENT)))
+            for table, lookup in lookups:
+                assert lookup not in table and table.get(lookup) is None, (label, lookup)
+                with pytest.raises(KeyError):
+                    table[lookup]
+        assert root in policy.value and tuple(root) in policy.value
+
+
+def test_prior_sweep_builds_no_prescription(graph_b, monkeypatch):
+    # a sweep reads only root values; the decision table is decoded on first read, in one pass
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Prescription(*args)
+
+    monkeypatch.setattr(coordinator_solver, "Prescription", counted)
+    assert len(prior_sweep(graph_b, 0)) == 21 and built == []
+    # the wrapper does count: a solve's first table read decodes every state's prescription, once
+    policy = solve_dp(graph_b)
+    assert policy.transitions.get((policy.root, SILENT)) is not None
+    assert policy.decision[policy.root] == Prescription(*built[-1])
+    assert len(built) == len(policy.value)
 
 
 def test_belief_state_is_a_named_tuple():
@@ -616,6 +690,7 @@ def _braced_worse_machine(spec, _):
 _S2, _S3 = BeliefState("2", (0, 1), 2), BeliefState("3", (0, 1), 3)
 _S4_TYPE_0 = BeliefState("4", (0,), 4)
 _OFF_GRAPH = BeliefState("not a node", (0, 1), 1)
+_UNVALUED = BeliefState("zz", (0, 1), 1)
 _ROOT_LACKS_TYPE_1 = "no signal for type 1 at BeliefState(node='1', support=(0, 1), period=1)"
 _MACHINE_OK = CheckResult("machine_ic", True, "no improving machine deviation", Fraction(0))
 _MACHINE_UNDEFINED = CheckResult("machine_ic", False, "machine best response is undefined")
@@ -772,6 +847,14 @@ _RIDER_0_GAINS = (
             id="root-off-the-graph",
         ),
         pytest.param(
+            lambda s, p: (s, replace(p, root=_UNVALUED, decision={**p.decision, _UNVALUED: p.decision[p.root]})),
+            CheckResult("machine_ic", False, "machine best response is undefined: "
+                        f"the policy has no value at its root {_UNVALUED}"),
+            _playout_undefined(f"policy transition missing at {_UNVALUED} for signal 'SILENT'"),
+            _belief_failure(f"transition missing at {_UNVALUED} for observed 'SILENT'"),
+            id="root-without-value",
+        ),
+        pytest.param(
             # an entry for a type outside the support, with a signal no supported type sends
             lambda s, p: (s, replace(p, decision={
                 **p.decision, p.root: replace(p.decision[p.root], human=p.decision[p.root].human + ((5, "N"),))
@@ -834,6 +917,19 @@ def test_smallest_passing_deviation_budget(graph_b):
         assert verify_equilibrium(spec, policy, deviation_budget=smallest).all_passed
         with pytest.raises(DeviationBudgetError):
             verify_equilibrium(spec, policy, deviation_budget=smallest - 1)
+
+
+def test_deviation_budget_skips_signals_outside_the_support(graph_a):
+    # an entry (5, "N") at the root adds no rider deviation to search: the
+    # tampered policy passes at the solved policy's smallest budget, 32
+    policy = solve_dp(graph_a)
+    root = policy.decision[policy.root]
+    entry = replace(root, human=root.human + ((5, "N"),))
+    tampered = replace(policy, decision={**policy.decision, policy.root: entry})
+    for checked in (policy, tampered):
+        assert verify_equilibrium(graph_a, checked, deviation_budget=32).all_passed
+        with pytest.raises(DeviationBudgetError):
+            verify_equilibrium(graph_a, checked, deviation_budget=31)
 
 
 def test_integer_stage_tables_equal_exact_moments(graph_a, graph_b):
