@@ -177,9 +177,10 @@ class _Engine:
     node's machine actions in canonical order. :meth:`scaled_stages` weighs
     the costs by a prior. States are keyed by (node, support mask), bit k of
     the mask standing for the k-th type of the prior's support, and every
-    subset of a support is named by its submask, whose splits
-    :meth:`_mask_splits` lists once per mask. :meth:`layers` holds, per
-    period, each node's feasible moves next to its states.
+    subset of a support is named by its submask: :attr:`splits` lists each
+    mask's submasks, one table for the solver's and the oracle's split
+    walks. :meth:`layers` holds, per period, each node's feasible moves next
+    to its states.
     """
 
     def __init__(self, spec: GameSpec):
@@ -195,7 +196,6 @@ class _Engine:
         factors = [th.numerator * (b // th.denominator) for th in spec.exact_types]
         self.costs = {key: [m * b + f * v for f in factors] for key, (m, v) in moments.items()}
         self.machine_actions = {node: spec.machine_moves(node) for node in spec.nodes}
-        self._mask_split_cache: dict[int, list[tuple[int, int]]] = {}
 
     def scaled_stages(self, weights: dict[int, Fraction | int]):
         """(scale, fee, stage): weighted fees and stage costs as integers over one denominator.
@@ -264,16 +264,16 @@ class _Engine:
         self.spec.layer_memo[self.support0] = layers
         return layers
 
-    def _mask_splits(self, mask: int) -> list[tuple[int, int]]:
-        """Every (G, mask without G) for G a submask of ``mask``: G = 0 first, then descending;
-        built on first use, so none of K types' 3^K splits precedes the state guard of :meth:`layers`."""
-        splits = self._mask_split_cache.get(mask)
-        if splits is None:
-            splits, sub = [(0, mask)], mask
-            while sub:
-                splits.append((sub, mask ^ sub))
-                sub = (sub - 1) & mask
-            self._mask_split_cache[mask] = splits
+    @functools.cached_property
+    def splits(self) -> list[list[int]]:
+        """Per mask, its submasks G, 0 first and then descending; a split's rest is ``mask ^ G``.
+        Built whole on first read, which no reader makes before :meth:`layers` has passed its
+        state guard; each of the 3^K entries for K types points at one shared int per mask."""
+        masks, splits = list(range(1 << len(self.support0))), [[0]]
+        for mask in masks[1:]:  # the submasks holding its highest bit, then those of the rest
+            high = 1 << mask.bit_length() - 1
+            rest = splits[mask ^ high][1:]
+            splits.append([0, *[masks[high | sub] for sub in rest], masks[high], *rest])
         return splits
 
 
@@ -319,7 +319,7 @@ class _IntegerSolver(_Engine):
                 for mask in states:
                     best[mask] = self._best(mask, *rows)
                     scaled[mask] = best[mask][0] // rows[1]
-        self._mask_split_cache.clear()  # 3^K splits for K types: the tables' reads need none
+        del self.splits  # 3^K entries for K types: the tables' reads need none
         decision, transitions = _DecodedTable(self, 0), _DecodedTable(self, 1)
         return CoordinatorPolicy(root=layers[1][self.spec.start_node][1][size - 1], decision=decision,
                                  value=_ValueTable(self), transitions=transitions, weights=dict(self.weights))
@@ -344,8 +344,8 @@ class _IntegerSolver(_Engine):
             silent[e] = row = [(c + v) * shift for c, v in zip(self._stage_sums[(node, e)], tail)]
             override = [c + f * shift + rank * d for c, f, d in zip(row, self._fee_sums, digits)]
             overrides = override if overrides is None else [
-                min([overrides[rest] + override[part] for part, rest in self._mask_splits(mask)])
-                for mask in range(len(override))
+                min([overrides[mask ^ sub] + override[sub] for sub in subs])
+                for mask, subs in enumerate(self.splits)
             ]
         return signals, shift, overrides, silent
 
@@ -366,14 +366,11 @@ class _IntegerSolver(_Engine):
         alone, in order, so the first of equal ones wins.
         """
         # the silent group's members follow the machine action
-        splits = self._mask_splits(mask)
+        subs = self.splits[mask]
         best = None
         for a_m in signals[1:]:
             row = silent.get(a_m)
-            if row is None:
-                objective = overrides[mask]
-            else:
-                objective = min([row[part] + overrides[rest] for part, rest in splits])
+            objective = min([row[sub] + overrides[mask ^ sub] for sub in subs]) if row else overrides[mask]
             if best is None or objective // shift < best[0] // shift:
                 best = (objective, a_m)
         return best
@@ -434,6 +431,9 @@ class _ValueTable(Mapping):
     def __len__(self) -> int:
         return sum(len(states) for layer in self._solver._layers for _, states in layer.values())
 
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
 
 class _DecodedTable(Mapping):
     """A solve's decision (``which`` 0) or transition table (1), decoded with the other
@@ -448,9 +448,6 @@ class _DecodedTable(Mapping):
         self.get = table.get  # the verifier and playout call get on every state they reach
         return table
 
-    def get(self, key, default=None):
-        return self._table.get(key, default)
-
     def __getitem__(self, key):
         return self._table[key]
 
@@ -459,6 +456,9 @@ class _DecodedTable(Mapping):
 
     def __len__(self) -> int:
         return len(self._table)
+
+    def __repr__(self) -> str:
+        return repr(self._table)
 
 
 def solve_dp(spec: GameSpec) -> CoordinatorPolicy:
@@ -517,19 +517,19 @@ class _Oracle(_Engine):
         submasks of ``mask`` whose entry 0, the empty group, is the unit of
         ``combine``. A move that cannot finish in time takes no members.
         """
-        splits = self._mask_splits(mask)
+        subs = self.splits[mask]
         groups = [None] * len(self.machine_actions[node])
         for rank, e, dst in moves:
             groups[rank - 1] = rows(e, dst)
         overrides = None
         for _, row in filter(None, groups):
             overrides = row if overrides is None else {
-                whole: join([combine(overrides[rest], row[sub]) for sub, rest in self._mask_splits(whole)])
-                for whole, _ in splits
+                whole: join([combine(overrides[whole ^ sub], row[sub]) for sub in self.splits[whole]])
+                for whole in subs
             }
         return [
             overrides[mask] if group is None
-            else join([combine(group[0][sub], overrides[rest]) for sub, rest in splits])
+            else join([combine(group[0][sub], overrides[mask ^ sub]) for sub in subs])
             for group in groups
         ]
 
@@ -548,7 +548,7 @@ class _Oracle(_Engine):
         """Number of trees at the root, by (+, ×) over the splits."""
 
         def rows(later, node, mask, e, dst):
-            row = {sub: 1 if dst is None or not sub else later[(dst, sub)] for sub, _ in self._mask_splits(mask)}
+            row = {sub: 1 if dst is None or not sub else later[(dst, sub)] for sub in self.splits[mask]}
             return row, row
 
         for _, counts in self._induct(layers, rows, sum, operator.mul):
@@ -594,7 +594,7 @@ class _Oracle(_Engine):
         def rows(later, node, mask, e, dst):
             # per member set, its group vectors, each mapped to its subtree's (0 after STOP)
             costs, silent, override = stage_sums[(node, e)], {0: {0: 0}}, {0: {0: 0}}
-            for sub, _ in self._mask_splits(mask)[1:]:
+            for sub in self.splits[mask][1:]:
                 tails = (0,) if dst is None else later[(dst, sub)]
                 silent[sub] = {costs[sub] + w: w for w in tails}
                 override[sub] = {costs[sub] + fee_sums[sub] + w: w for w in tails}

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 from riskgames import CostDistribution, Edge, GameSpec, validate_spec
 from riskgames.coordinator_solver import count_deterministic_policies
@@ -131,5 +133,53 @@ def seeded_lattice(seed: int, side: int = 16, horizon: int = 28) -> GameSpec:
         horizon_T=horizon,
         types=(0.01, 0.2),
         prior=(0.5, 0.5),
+        transmission_cost=0.5,
+    )
+
+
+def three_node_cycle(horizon: int, extra_edges=()) -> GameSpec:
+    """The 3-node cycle 1 -> 2 -> 3 -> 1 (plus ``extra_edges``), terminal at 3."""
+    edges = (("1", "2", "E"), ("2", "3", "E"), ("3", "1", "S"), *extra_edges)
+    return GameSpec(
+        nodes=("1", "2", "3"),
+        edges=tuple(Edge(src, dst, d, CostDistribution(1, 2)) for src, dst, d in edges),
+        terminals={"3": CostDistribution(0, 0)},
+        start_node="1",
+        horizon_T=horizon,
+        types=(0.01, 0.5),
+        prior=(0.5, 0.5),
+        transmission_cost=0.5,
+    )
+
+
+def types_ladder(spec: GameSpec, k: int) -> GameSpec:
+    """``spec`` with ``k`` >= 2 types evenly spaced in [0.01, 0.2] (four decimals) and a
+    near-uniform prior of two-decimal weights, the last weight taking the remainder."""
+    types = tuple(round(0.01 + 0.19 * j / (k - 1), 4) for j in range(k))
+    weight = Fraction(round(100 / k), 100)
+    prior = (float(weight),) * (k - 1) + (float(1 - (k - 1) * weight),)
+    return replace(spec, types=types, prior=prior)
+
+
+def member_tie_game() -> GameSpec:
+    """A game whose optimum ties two prescriptions that differ only in which member sends which signal.
+
+    Type 0 (θ 0.01) rides the cheap, risky north edge. Types 1 and 2 (θ 0.2
+    and 0.5, equal weights) each fare the same through P or Q, where type 1
+    takes the risky and type 2 the safe last edge. Under machine N both
+    override anyway, so sending them to different nodes, (S, E) or (E, S),
+    separates them for no further fee, and the two tie exactly; the lower
+    type index decides, so type 1 signals S.
+    """
+    edges = [("A", "Z", "N", 1, 100), ("A", "P", "S", 1, 0), ("A", "Q", "E", 1, 0)]
+    edges += [(src, "T1", "E", 5, 0) for src in "PQ"] + [(src, "T2", "S", 3, 6) for src in "PQ"]
+    return GameSpec(
+        nodes=("A", "Z", "P", "Q", "T1", "T2"),
+        edges=tuple(Edge(src, dst, d, CostDistribution(m, v)) for src, dst, d, m, v in edges),
+        terminals={node: CostDistribution(0, 0) for node in ("Z", "T1", "T2")},
+        start_node="A",
+        horizon_T=4,
+        types=(0.01, 0.2, 0.5),
+        prior=(0.4, 0.3, 0.3),
         transmission_cost=0.5,
     )

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_diamond
-from instance_gen import oracle_sized_game, random_game, seeded_lattice
+from instance_gen import member_tie_game, oracle_sized_game, random_game, seeded_lattice, three_node_cycle
 from reference_oracle import product_count, reference_induction, reference_oracle, states
 from riskgames import EXPECTATION, Aggregator, CostDistribution, Edge, GameSpec, coordinator_solver
 from riskgames.baseline_planners import (
@@ -153,6 +153,8 @@ GAME_FAMILIES = {
         lambda seed: random_game(seed, k_types=5, max_nodes=7, max_extra_edges=6, max_slack=3),
         20,
     ),
+    # no seed of the families above ties two members of one prescription; this game does
+    "member_tie": (lambda seed: member_tie_game(), 1),
 }
 
 
@@ -244,6 +246,34 @@ def test_prior_sweep_builds_no_prescription(graph_b, monkeypatch):
     assert len(built) == len(policy.value)
 
 
+def test_solved_tables_repr_as_dicts(graph_a):
+    policy = solve_dp(graph_a)
+    for name in ("value", "decision", "transitions"):
+        table = getattr(policy, name)
+        assert repr(table) == repr(dict(table)), name
+    assert f"{policy.root!r}: {policy.decision[policy.root]!r}" in repr(policy)
+
+
+def test_split_table_lists_each_masks_submasks_zero_first_then_descending(graph_b):
+    for k in range(1, 5):
+        engine = _Engine(replace(graph_b, types=(0.01,) * k, prior=(1 / k,) * k))
+        listed = [[0] + [sub for sub in range(mask, 0, -1) if sub & mask == sub] for mask in range(1 << k)]
+        assert engine.splits == listed, k
+
+
+def test_split_table_lives_only_through_the_induction(graph_b):
+    # built on first read, so a solve that ends in the state guard builds none,
+    # and dropped once the induction ends, so a kept policy keeps no 3^K table
+    solver = _IntegerSolver(three_node_cycle(10**400))
+    with pytest.raises(EnumerationGuardError):
+        solver.policy()
+    assert "splits" not in vars(solver)
+    policy = solve_dp(graph_b)
+    assert policy.value[policy.root] is not None and policy.decision[policy.root] is not None
+    for table in (policy.value, policy.decision, policy.transitions):
+        assert "splits" not in vars(table._solver)
+
+
 def test_belief_state_is_a_named_tuple():
     state = BeliefState("2", (0, 1), 3)
     assert repr(state) == "BeliefState(node='2', support=(0, 1), period=3)"
@@ -252,25 +282,10 @@ def test_belief_state_is_a_named_tuple():
     assert state == ("2", (0, 1), 3) and hash(state) == hash(("2", (0, 1), 3))
 
 
-def _cycle(horizon: int, extra_edges=()) -> GameSpec:
-    """The 3-node cycle 1 -> 2 -> 3 -> 1 (plus ``extra_edges``), terminal at 3."""
-    edges = (("1", "2", "E"), ("2", "3", "E"), ("3", "1", "S"), *extra_edges)
-    return GameSpec(
-        nodes=("1", "2", "3"),
-        edges=tuple(Edge(src, dst, d, CostDistribution(1, 2)) for src, dst, d in edges),
-        terminals={"3": CostDistribution(0, 0)},
-        start_node="1",
-        horizon_T=horizon,
-        types=(0.01, 0.5),
-        prior=(0.5, 0.5),
-        transmission_cost=0.5,
-    )
-
-
 def _layer_specs() -> list[tuple[str, int, GameSpec]]:
     """(family, seed, spec) of every game family seed and two cycles, where states repeat nodes."""
     specs = [(family, seed, make(seed)) for family, (make, seeds) in GAME_FAMILIES.items() for seed in range(seeds)]
-    return specs + [("cycle", 0, _cycle(12)), ("cycle", 1, _cycle(12, [("2", "1", "W")]))]
+    return specs + [("cycle", 0, three_node_cycle(12)), ("cycle", 1, three_node_cycle(12, [("2", "1", "W")]))]
 
 
 def test_layers_and_count_equal_the_product_enumeration():
