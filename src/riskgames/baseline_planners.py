@@ -14,6 +14,7 @@ for bit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -24,11 +25,11 @@ from .game_model import (
     STOP,
     Edge,
     GameSpec,
-    _path_end,
     theta_of,
 )
 
-PATH_ENUMERATION_NODE_LIMIT = 20
+PATH_ENUMERATION_NODE_LIMIT = 20  # bounds the depth-first search's recursion depth
+PATH_ENUMERATION_STEP_LIMIT = 250_000  # nodes the search enters, each emitting at most one path
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ def enumerate_paths_oracle(spec: GameSpec) -> list[PathStats]:
 
     Complete enumeration by depth-first search; paths may pass through a
     terminal and continue, and each terminal visit emits an entry. Guarded
-    to graphs of at most :data:`PATH_ENUMERATION_NODE_LIMIT` nodes.
+    to :data:`PATH_ENUMERATION_NODE_LIMIT` nodes and :data:`PATH_ENUMERATION_STEP_LIMIT` steps.
     """
     if len(spec.nodes) > PATH_ENUMERATION_NODE_LIMIT:
         raise EnumerationGuardError(
@@ -91,8 +92,12 @@ def enumerate_paths_oracle(spec: GameSpec) -> list[PathStats]:
         )
     max_moves = spec.horizon_T - 1  # one period is reserved for STOP
     results: list[PathStats] = []
+    steps = itertools.count(1)
 
     def extend(node: str, visited: set[str], edges: list[Edge], mean: Fraction, var: Fraction):
+        if next(steps) > PATH_ENUMERATION_STEP_LIMIT:
+            raise EnumerationGuardError(f"path enumeration exceeds its guard of {PATH_ENUMERATION_STEP_LIMIT} "
+                                        "search steps", bound=PATH_ENUMERATION_STEP_LIMIT)
         if spec.is_terminal(node):
             term = spec.terminals[node]
             results.append(
@@ -201,23 +206,13 @@ def risk_adjusted_shortest_path(spec: GameSpec, theta) -> PlannerResult:
     lexicographically smallest direction-label sequence.
     """
     t = theta_of(theta)
-    action = _induct(spec, t)
-    node, r = spec.start_node, spec.horizon_T
-    if node not in action[-1]:  # the r = T layer, empty when T < 1
-        raise UnreachableTerminalError(
-            f"no terminal reachable from {spec.start_node!r} within {spec.horizon_T - 1} moves"
-        )
-    path: list[Edge] = []
-    while (act := action[min(r, len(action) - 1)][node]) != STOP:
-        edge = spec.out_edges[node][act]
-        path.append(edge)
-        node, r = edge.dst, r - 1
+    plan = _route(spec, _induct(spec, t))
     # the route's exact moments, from spec.integer_costs; equal to path_criterion per type
     den, _, moments = spec.integer_costs
-    moves = [(e.src, e.direction) for e in path] + [(_path_end(spec, path), STOP)]
+    moves = [(e.src, e.direction) for e in plan.path] + [(plan.terminal, STOP)]
     mean, var = (Fraction(sum(moments[move][j] for move in moves), den) for j in (0, 1))
     per_type = {i: mean + th * var for i, th in enumerate(spec.exact_types)}
-    return PlannerResult(path=tuple(path), per_type_criterion=per_type, planner_theta=t)
+    return PlannerResult(path=plan.path, per_type_criterion=per_type, planner_theta=t)
 
 
 def average_theta(spec: GameSpec) -> Fraction:
@@ -266,35 +261,37 @@ def neutral_override_plan(spec: GameSpec, type_index: int) -> RealizedPlan:
 def neutral_override_plans(spec: GameSpec, types: Iterable[int]) -> dict[int, RealizedPlan]:
     """:func:`neutral_override_plan` for each of ``types``, the machine's table built once."""
     machine = _induct(spec, Fraction(0))
-    return {i: _override_plan(spec, machine, i) for i in types}
+    return {i: _route(spec, machine, _induct(spec, spec.exact_types[i], machine)) for i in types}
 
 
-def _override_plan(spec: GameSpec, machine: list[dict[str, str]], type_index: int) -> RealizedPlan:
-    """One type's best response to the machine action table ``machine``."""
-    respond = _induct(spec, spec.exact_types[type_index], machine)
+def _route(spec: GameSpec, machine: list[dict], rider: list[dict] | None = None) -> RealizedPlan:
+    """The route from the start node with T periods left, read off :func:`_induct` tables.
+
+    Each period the machine plays its table's move and the rider sends its
+    table's signal, or SILENT without a rider table; a table ``action`` is
+    read with r periods left at ``action[min(r, len(action) - 1)]``.
+    """
     node, r = spec.start_node, spec.horizon_T
-    if node not in respond[-1]:
+    if node not in (machine if rider is None else rider)[-1]:  # the r = T layer, empty when T < 1
         raise UnreachableTerminalError(
-            f"no terminal reachable from {spec.start_node!r} within the horizon"
+            f"no terminal reachable from {spec.start_node!r} within {spec.horizon_T - 1} moves"
         )
     edges: list[Edge] = []
     signals: list[str] = []
     machine_moves: list[str] = []
-    override_periods: list[int] = []
     while True:
-        act, default = respond[min(r, len(respond) - 1)][node], machine[min(r, len(machine) - 1)][node]
-        signals.append(act)
+        default = machine[min(r, len(machine) - 1)][node]
+        signal = SILENT if rider is None else rider[min(r, len(rider) - 1)][node]
+        signals.append(signal)
         machine_moves.append(default)
-        if act != SILENT:
-            override_periods.append(spec.horizon_T - r + 1)
-        move = default if act == SILENT else act
+        move = default if signal == SILENT else signal
         if move == STOP:
             return RealizedPlan(
                 path=tuple(edges),
                 terminal=node,
                 signals=tuple(signals),
                 machine_actions=tuple(machine_moves),
-                override_periods=tuple(override_periods),
+                override_periods=tuple(p for p, s in enumerate(signals, 1) if s != SILENT),
             )
         edge = spec.out_edges[node][move]
         edges.append(edge)

@@ -111,15 +111,19 @@ def _resolve_scenario_path(path_or_name: str | Path) -> Path:
     raise ScenarioError([f"scenario file {path_or_name!r} not found"])
 
 
+def _is_number(x) -> bool:
+    # an int or a float, not a bool; false for NaN and infinities, and an int compares exactly
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
 def _parse_aggregator(raw, problems: list[str]) -> Aggregator:
     if raw == "expectation":
         return EXPECTATION
     if isinstance(raw, dict) and set(raw) == {"cvar"}:
-        try:
+        if _is_number(raw["cvar"]):
             return Aggregator.cvar(float(raw["cvar"]))
-        except (TypeError, ValueError, OverflowError):
-            problems.append(f"aggregator cvar level {raw['cvar']!r} is not a number")
-            return EXPECTATION
+        problems.append(f"aggregator cvar level {raw['cvar']!r} is not a number")
+        return EXPECTATION
     problems.append(f"aggregator must be 'expectation' or {{'cvar': alpha}}, got {raw!r}")
     return EXPECTATION
 
@@ -151,8 +155,7 @@ def scenario_from_dict(data: dict) -> ScenarioFile:
         raise ScenarioError(problems)
 
     def number(x, where):
-        # also false for NaN and infinities; an int compares exactly, with no overflow
-        if isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max:
+        if _is_number(x):
             return float(x)
         problems.append(f"{where} must be a finite number, got {x!r}")
         return 0.0

@@ -592,12 +592,12 @@ class _Oracle(_Engine):
         stage_sums = {key: _mask_sums(row) for key, row in stage.items()}
 
         def rows(later, node, mask, e, dst):
-            # per member set, its group vectors, each mapped to its subtree's (0 after STOP)
-            costs, silent, override = stage_sums[(node, e)], {0: {0: 0}}, {0: {0: 0}}
+            # per member set, its group vectors: its stage costs (fee on override) plus a subtree's
+            costs, silent, override = stage_sums[(node, e)], {0: {0}}, {0: {0}}
             for sub in self.splits[mask][1:]:
                 tails = (0,) if dst is None else later[(dst, sub)]
-                silent[sub] = {costs[sub] + w: w for w in tails}
-                override[sub] = {costs[sub] + fee_sums[sub] + w: w for w in tails}
+                silent[sub] = {costs[sub] + w for w in tails}
+                override[sub] = {costs[sub] + fee_sums[sub] + w for w in tails}
             return silent, override
 
         tables = dict(self._induct(layers, rows, *_UNION_MINKOWSKI))
@@ -608,7 +608,6 @@ class _Oracle(_Engine):
         prices = {v: price(unpack(v)) for v in vectors}
         best = min(prices.values())
 
-        known = functools.cache(lambda t, node, mask, e, dst: rows(tables.get(t + 1), node, mask, e, dst))
         queue = [(1, *root, v) for v, p in prices.items() if p == best]
         ways = dict.fromkeys(queue)  # per (period, node, mask, vector): (machine action, groups) pairs
         for key in queue:
@@ -616,12 +615,15 @@ class _Oracle(_Engine):
             part = _mask_sums([entry << width * k for k, entry in enumerate(unpack(vector))])
 
             def split(e, dst):
-                # a group fits when the vector's entries on its members are one of its vectors
-                fit_rows = []
-                for signal, row in zip((SILENT, e), known(t, node, mask, e, dst)):
-                    fits = {sub: [((sub, signal, dst, tails[part[sub]]),)] if part[sub] in tails else []
-                            for sub, tails in row.items()}
-                    fits[0] = [()]  # the empty group
+                # a group fits when the vector's entries on its members, less their stage
+                # costs (and fee), are one of its subtree's vectors (0 after STOP)
+                costs, fit_rows = stage_sums[(node, e)], []
+                for signal, charged in ((SILENT, 0), (e, 1)):
+                    fits = {0: [()]}  # the empty group
+                    for sub in self.splits[mask][1:]:
+                        w = part[sub] - costs[sub] - charged * fee_sums[sub]
+                        fit = w == 0 if dst is None else w in tables[t + 1][(dst, sub)]
+                        fits[sub] = [((sub, signal, dst, w),)] if fit else []
                     fit_rows.append(fits)
                 return fit_rows
 
@@ -1018,10 +1020,11 @@ def _human_best_response(
 
     def options(state: BeliefState, presc: Prescription):
         human = presc.human_map
-        for a in sorted({human[i] for i in state.support if i in human}, key=_HUMAN_RANK.__getitem__):
+        sent = {human[i] for i in state.support if i in human}
+        for a in sorted(sent, key=lambda a: _HUMAN_RANK.get(a, math.inf)):  # human actions first
             effective = presc.machine if a == SILENT else a
             row = engine.costs.get((state.node, effective))
-            if row is None:  # no edge for the move, or STOP off a terminal: a dead end
+            if row is None:  # no edge for the move, STOP off a terminal, or no human action: a dead end
                 yield a, 0, [None]
                 continue
             cost = row[type_index] + (0 if a == SILENT else engine.charge)
@@ -1057,6 +1060,8 @@ def _belief_problem(spec: GameSpec, policy: CoordinatorPolicy) -> str | None:
         for i in state.support:
             if i not in slice_map:
                 return f"no signal for type {i} at {state}"
+            if slice_map[i] not in _HUMAN_RANK:
+                return f"type {i} at {state} sends {slice_map[i]!r}, which is not a human action"
         try:
             belief = Belief.from_weights({i: weights[i] for i in state.support})
         except KeyError as missing:

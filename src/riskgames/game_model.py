@@ -308,23 +308,12 @@ def path_criterion(spec: GameSpec, path: Sequence[Edge], overrides: int, theta) 
 
     Mean part: edge means, terminal mean, plus the fee per override.
     Variance part: edge variances plus terminal variance, weighted by
-    ``theta``. Exact because edge costs are independent.
+    ``theta``. Exact because edge costs are independent. A PathError names
+    a path that is not a start-to-terminal route with a period left for STOP.
     """
     if overrides < 0:
         raise ValueError("override count must be non-negative")
     t = theta_of(theta)
-    end = _path_end(spec, path)
-    mean = sum((e.cost.exact_mean for e in path), start=Fraction(0))
-    var = sum((e.cost.exact_variance for e in path), start=Fraction(0))
-    term = spec.terminals[end]
-    mean += term.exact_mean + spec.exact_transmission_cost * overrides
-    var += term.exact_variance
-    return mean + t * var
-
-
-def _path_end(spec: GameSpec, path: Sequence[Edge]) -> str:
-    """The terminal a path ends at; PathError unless it runs from the start
-    node to a terminal, connected, with a period to spare for STOP."""
     if path:
         if path[0].src != spec.start_node:
             raise PathError(f"path starts at {path[0].src!r}, expected {spec.start_node!r}")
@@ -338,7 +327,12 @@ def _path_end(spec: GameSpec, path: Sequence[Edge]) -> str:
         raise PathError(f"path ends at non-terminal node {end!r}")
     if len(path) + 1 > spec.horizon_T:
         raise PathError(f"path needs {len(path) + 1} periods, horizon is {spec.horizon_T}")
-    return end
+    mean = sum((e.cost.exact_mean for e in path), start=Fraction(0))
+    var = sum((e.cost.exact_variance for e in path), start=Fraction(0))
+    term = spec.terminals[end]
+    mean += term.exact_mean + spec.exact_transmission_cost * overrides
+    var += term.exact_variance
+    return mean + t * var
 
 
 def validate_spec(spec: GameSpec) -> list[str]:

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 import reference_baselines as reference
-from instance_gen import random_game, seeded_lattice
+from instance_gen import random_game, seeded_lattice, skip_chain
 from riskgames import CostDistribution, Edge, GameSpec
 from riskgames.baseline_planners import (
+    PATH_ENUMERATION_NODE_LIMIT,
+    PATH_ENUMERATION_STEP_LIMIT,
     _induct,
     average_theta,
     baseline_policy,
@@ -71,6 +73,18 @@ def test_enumeration_node_guard():
     with pytest.raises(EnumerationGuardError) as err:
         enumerate_paths_oracle(spec)
     assert err.value.bound == 20
+
+
+def test_enumeration_step_guard():
+    # 16 nodes take 221,837 search steps to their 85,195 routes; 20 nodes, within the node
+    # limit, would take millions, and the guard stops the search in about a second
+    assert len(enumerate_paths_oracle(skip_chain(16))) == 85_195
+    spec = skip_chain(20)
+    assert len(spec.nodes) == PATH_ENUMERATION_NODE_LIMIT and len(spec.edges) == 73
+    with pytest.raises(EnumerationGuardError) as err:
+        enumerate_paths_oracle(spec)
+    assert err.value.bound == PATH_ENUMERATION_STEP_LIMIT
+    assert str(err.value) == f"path enumeration exceeds its guard of {PATH_ENUMERATION_STEP_LIMIT} search steps"
 
 
 def test_planner_reference_routes(graph_a):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_diamond
+from instance_gen import skip_chain
 from riskgames import cli_bench
 from riskgames.cli_bench import (
     CSV_HEADER,
@@ -295,6 +296,15 @@ def test_cli_malformed_scenario_is_one_line_error(key, value, problem, tmp_path,
             lambda d: {**d, "aggregator": {"cvar": "x"}}, "aggregator cvar level 'x' is not a number", id="cvar-level"
         ),
         pytest.param(
+            # a level is a JSON number, as every other number in the file
+            lambda d: {**d, "aggregator": {"cvar": "0.5"}}, "aggregator cvar level '0.5' is not a number",
+            id="cvar-level-string",
+        ),
+        pytest.param(
+            lambda d: {**d, "aggregator": {"cvar": True}}, "aggregator cvar level True is not a number",
+            id="cvar-level-bool",
+        ),
+        pytest.param(
             lambda d: {**d, "edges": [{**d["edges"][0], "var": -1}, *d["edges"][1:]]},
             "edges[0].var is negative",
             id="negative-edge-var",
@@ -455,6 +465,16 @@ def test_cli_huge_horizon_negative_cycle_hits_the_state_guard(argv, tmp_path, ca
     assert captured.out == ""
     assert captured.err.startswith("error: EnumerationGuardError: ")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+def test_cli_paths_of_a_20_node_chain_hit_the_step_guard(tmp_path, capsys):
+    # millions of simple routes: the search stops at its step guard, before printing any
+    path = tmp_path / "chain20.json"
+    save_scenario(ScenarioFile(spec=skip_chain(20), sweep_axis=1, sweep_grid=(0.0, 1.0), seed=0), path)
+    assert main(["--scenario", str(path), "paths"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: EnumerationGuardError: path enumeration exceeds its guard of 250000 search steps\n"
+    )
 
 
 def test_cli_aggregator_flag_is_validated(capsys):

@@ -832,6 +832,17 @@ _RIDER_0_GAINS = (
             id="signal-without-edge",
         ),
         pytest.param(
+            # type 0's signal X is not a human action: a dead end for every search, named by the belief check
+            lambda s, p: (s, replace(p, decision={
+                **p.decision, p.root: Prescription("E", ((0, "X"), (1, SILENT)))
+            })),
+            _MACHINE_UNDEFINED,
+            _rider_undefined(0, "no edge for move 'X' at node '1'"),
+            _belief_failure("type 0 at BeliefState(node='1', support=(0, 1), period=1) sends 'X', "
+                            "which is not a human action"),
+            id="signal-not-a-human-action",
+        ),
+        pytest.param(
             lambda s, p: (s, replace(p, transitions={
                 **p.transitions, (_S2, SILENT): BeliefState("3", (0,), 3)
             })),
