@@ -118,7 +118,8 @@ class CoordinatorPolicy:
     ``transitions`` maps (state, observed human action) to the successor
     state, or None when that branch stops. Any mappings will do; those of
     :func:`solve_dp` are read-only views that build a value's ``Fraction``
-    per read and decode ``decision`` and ``transitions`` on the first read.
+    per read and decode ``decision`` and ``transitions`` one state at a
+    time, on that state's first read.
     """
 
     root: BeliefState
@@ -290,11 +291,13 @@ class _IntegerSolver(_Engine):
 
     Every weighted stage cost and weighted fee is an integer multiple of
     ``1 / scale``, so values are kept as those integers; the policy's
-    tables are views of them (:class:`_ValueTable`, :class:`_DecodedTable`).
+    tables are views of them (:class:`_ValueTable`, :class:`_DecisionTable`,
+    :class:`_TransitionTable`), which decode a state's prescription or its
+    successors on that state's first read and keep it in a plain dict.
     The constructor sums, per member mask, the weighted fee and every
-    move's weighted stage cost over the mask's types, and builds, per signal
-    count B at the spec's nodes, the (B**K, digits) that carry the
-    tie-break (see :meth:`_best`).
+    move's weighted stage cost over the mask's types, and builds each
+    type's bit in a support mask and, per signal count B at the spec's
+    nodes, the (B**K, digits) that carry the tie-break (see :meth:`_best`).
     """
 
     def __init__(self, spec: GameSpec):
@@ -302,6 +305,7 @@ class _IntegerSolver(_Engine):
         self.scale, fee, stage = self.scaled_stages(self.weights)
         self._fee_sums = _mask_sums(fee)
         self._stage_sums = {key: _mask_sums(row) for key, row in stage.items()}
+        self._bit = {i: 1 << k for k, i in enumerate(self.support0)}
         size = len(self.support0)
         self._digits = {base: (base**size, _mask_sums([base ** (size - 1 - k) for k in range(size)]))
                         for base in {len(acts) + 1 for acts in self.machine_actions.values()}}
@@ -320,9 +324,10 @@ class _IntegerSolver(_Engine):
                     best[mask] = self._best(mask, *rows)
                     scaled[mask] = best[mask][0] // rows[1]
         del self.splits  # 3^K entries for K types: the tables' reads need none
-        decision, transitions = _DecodedTable(self, 0), _DecodedTable(self, 1)
-        return CoordinatorPolicy(root=layers[1][self.spec.start_node][1][size - 1], decision=decision,
-                                 value=_ValueTable(self), transitions=transitions, weights=dict(self.weights))
+        self._prescriptions, self._successors = {}, {}  # per state, filled by the tables' reads
+        return CoordinatorPolicy(root=layers[1][self.spec.start_node][1][size - 1],
+                                 decision=_DecisionTable(self), value=_ValueTable(self),
+                                 transitions=_TransitionTable(self), weights=dict(self.weights))
 
     def _rows(self, node: str, moves: list[tuple[int, str, str | None]], later: dict[str, list[int]]):
         """(signals, B**K, overrides, silent rows) of ``node`` in one period.
@@ -375,23 +380,37 @@ class _IntegerSolver(_Engine):
                 best = (objective, a_m)
         return best
 
-    @functools.cached_property
-    def _decoded(self) -> tuple[dict, dict]:
-        """(decision, transitions) of every state, decoded from the induction's record in one pass."""
-        layers, decision, transitions = self._layers, {}, {}
-        for t in range(len(layers) - 1, 0, -1):
-            for node, (_, states) in layers[t].items():
-                signals = (SILENT,) + self.machine_actions[node]
-                shift, digits = self._digits[len(signals)]
-                best = self._won[t][node]
-                for mask, state in states.items():
-                    objective, a_m = best[mask]
-                    human, groups = _member_signals(objective % shift, mask, signals, digits)
-                    decision[state] = Prescription(a_m, tuple(zip(state.support, human)))
-                    for signal, group in groups.items():
-                        dst = self.edge_dst.get((node, a_m if signal == SILENT else signal))  # None for STOP
-                        transitions[(state, signal)] = None if dst is None else layers[t + 1][dst][1][group]
-        return decision, transitions
+    def _locate(self, state) -> tuple[int, str, int] | None:
+        """(period, node, mask) of a state of the layers, or None for any other key; a
+        (node, support, period) outside the layers is found missing without an exception."""
+        try:
+            node, support, t = state
+            entry = self._layers[t].get(node) if 0 < t < len(self._layers) else None
+            mask = sum(map(self._bit.__getitem__, support))
+        except (TypeError, ValueError, KeyError):  # not a (node, support, period) of the prior's types
+            return None
+        return None if entry is None or entry[1].get(mask) != state else (t, node, mask)
+
+    def _decoded(self, key, successors: bool):
+        """The prescription of a state of the layers or, with ``successors``, its {signal:
+        successor, None where the branch stops}, decoded from the induction's record and kept
+        per state; None for any other key."""
+        where = self._locate(key)
+        if where is None:
+            return None
+        t, node, mask = where
+        state, (objective, a_m) = self._layers[t][node][1][mask], self._won[t][node][mask]
+        signals = (SILENT,) + self.machine_actions[node]
+        shift, digits = self._digits[len(signals)]
+        human, groups = _member_signals(objective % shift, mask, signals, digits)
+        if not successors:
+            self._prescriptions[state] = presc = Prescription(a_m, tuple(zip(state.support, human)))
+            return presc
+        self._successors[state] = kept = {}
+        for signal, group in groups.items():
+            dst = self.edge_dst.get((node, a_m if signal == SILENT else signal))  # None for STOP
+            kept[signal] = None if dst is None else self._layers[t + 1][dst][1][group]
+        return kept
 
 
 def _member_signals(code: int, mask: int, signals, digits: list[int]) -> tuple[list[str], dict[str, int]]:
@@ -406,59 +425,70 @@ def _member_signals(code: int, mask: int, signals, digits: list[int]) -> tuple[l
     return human, groups
 
 
-class _ValueTable(Mapping):
-    """A solve's value table over its integer record: one ``Fraction`` per read, with no memo.
-    A key that is not a state of the solve's layers reads as missing."""
+_MISSING = object()
+
+
+class _SolverTable(Mapping):
+    """A read-only table over a solve's integer record, read through its own ``get``: a key
+    that is not a state of the solve's layers reads as missing there with no exception.
+    Iteration runs from the last period back, as the induction runs."""
 
     def __init__(self, solver: _IntegerSolver):
         self._solver = solver
 
-    def __getitem__(self, state: BeliefState) -> Fraction:
-        solver = self._solver
-        try:
-            node, support, t = state
-            mask = sum(1 << solver.support0.index(i) for i in support)
-            if solver._layers[t][node][1][mask] == state:
-                return Fraction(solver._values[t][node][mask], solver.scale)
-        except (TypeError, ValueError, KeyError, IndexError):
-            pass
-        raise KeyError(state)
+    def __getitem__(self, key):
+        entry = self.get(key, _MISSING)
+        if entry is _MISSING:
+            raise KeyError(key)
+        return entry
 
-    def __iter__(self):  # from the last period back, as the induction runs
+    def __iter__(self):
         layers = reversed(self._solver._layers)
         return (state for layer in layers for _, states in layer.values() for state in states.values())
 
     def __len__(self) -> int:
-        return sum(len(states) for layer in self._solver._layers for _, states in layer.values())
+        return sum(1 for _ in self)
 
     def __repr__(self) -> str:
         return repr(dict(self))
 
 
-class _DecodedTable(Mapping):
-    """A solve's decision (``which`` 0) or transition table (1), decoded with the other
-    on the first read of either; ``get`` is then the decoded dict's own method."""
+class _ValueTable(_SolverTable):
+    """A solve's value table: one ``Fraction`` per read, with no memo."""
 
-    def __init__(self, solver: _IntegerSolver, which: int):
-        self._solver, self._which = solver, which
+    def get(self, state, default=None):
+        where = self._solver._locate(state)
+        if where is None:
+            return default
+        t, node, mask = where
+        return Fraction(self._solver._values[t][node][mask], self._solver.scale)
 
-    @functools.cached_property
-    def _table(self) -> dict:
-        table = self._solver._decoded[self._which]
-        self.get = table.get  # the verifier and playout call get on every state they reach
-        return table
 
-    def __getitem__(self, key):
-        return self._table[key]
+class _DecisionTable(_SolverTable):
+    """A solve's decision table: a state's prescription is decoded on its first read."""
+
+    def get(self, state, default=None):
+        presc = self._solver._prescriptions.get(state) or self._solver._decoded(state, successors=False)
+        return default if presc is None else presc
+
+
+class _TransitionTable(_SolverTable):
+    """A solve's transition table, keyed by (state, signal): a state's successors are decoded
+    on the first read of any of its keys. Iteration and ``len`` decode every state's."""
+
+    def _successors(self, state) -> dict | None:
+        return self._solver._successors.get(state) or self._solver._decoded(state, successors=True)
+
+    def get(self, key, default=None):
+        try:
+            state, signal = key
+        except (TypeError, ValueError):  # not a (state, signal) pair
+            return default
+        successors = self._successors(state)
+        return default if successors is None else successors.get(signal, default)
 
     def __iter__(self):
-        return iter(self._table)
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __repr__(self) -> str:
-        return repr(self._table)
+        return ((state, signal) for state in _SolverTable.__iter__(self) for signal in self._successors(state))
 
 
 def solve_dp(spec: GameSpec) -> CoordinatorPolicy:
@@ -884,8 +914,8 @@ class _Budget:
         self.limit = limit
         self.used = 0
 
-    def tick(self, n: int = 1):
-        self.used += n
+    def tick(self):
+        self.used += 1
         if self.used > self.limit:
             raise DeviationBudgetError(
                 f"deviation search exceeded the budget of {self.limit} explored actions",

@@ -230,7 +230,7 @@ def test_solved_tables_read_off_layer_keys_as_missing(graph_a, graph_b):
 
 
 def test_prior_sweep_builds_no_prescription(graph_b, monkeypatch):
-    # a sweep reads only root values; the decision table is decoded on first read, in one pass
+    # a sweep reads only root values; a decision is decoded one state at a time, on its first read
     built = []
 
     def counted(*args):
@@ -239,11 +239,50 @@ def test_prior_sweep_builds_no_prescription(graph_b, monkeypatch):
 
     monkeypatch.setattr(coordinator_solver, "Prescription", counted)
     assert len(prior_sweep(graph_b, 0)) == 21 and built == []
-    # the wrapper does count: a solve's first table read decodes every state's prescription, once
+    # the wrapper does count: reading the root's decision builds its prescription alone, once
     policy = solve_dp(graph_b)
-    assert policy.transitions.get((policy.root, SILENT)) is not None
-    assert policy.decision[policy.root] == Prescription(*built[-1])
-    assert len(built) == len(policy.value)
+    assert policy.transitions.get((policy.root, SILENT)) is not None and built == []
+    assert policy.decision[policy.root] == Prescription(*built[-1]) and len(built) == 1
+    assert policy.decision.get(policy.root) is policy.decision[policy.root] and len(built) == 1
+    # one playout per type builds one prescription per distinct state on the types' paths
+    policy, built[:] = solve_dp(graph_b), []
+    reached = set()
+    for i in sorted(policy.weights):
+        state = policy.root
+        for signal in playout(graph_b, policy, i).signals:
+            reached.add(state)
+            state = policy.transitions.get((state, signal))
+    assert len(built) == len(reached) < len(policy.value)
+    assert {Prescription(*args) for args in built} == {policy.decision[s] for s in reached}
+
+
+def _transitions_first(spec, policy):
+    transitions = dict(policy.transitions)
+    return transitions, dict(policy.decision)
+
+
+def _decisions_first(spec, policy):
+    decision = dict(policy.decision)
+    return dict(policy.transitions), decision
+
+
+def _after_verify(spec, policy):
+    assert verify_equilibrium(spec, policy).all_passed
+    return _transitions_first(spec, policy)
+
+
+@pytest.mark.parametrize("name", ["graph_b", "seeded_lattice(0)"])
+def test_decoded_tables_do_not_depend_on_read_order(name, graph_b):
+    # each state is decoded on its first read, by whichever table or reader comes first
+    spec = graph_b if name == "graph_b" else seeded_lattice(0)
+    tables = []
+    for read in (_transitions_first, _decisions_first, _after_verify):
+        policy = solve_dp(spec)
+        transitions, decision = read(spec, policy)
+        assert len(transitions) == len(policy.transitions) > len(decision), read.__name__
+        assert len(decision) == len(policy.decision) == len(policy.value), read.__name__
+        tables.append((transitions, decision))
+    assert tables[0] == tables[1] == tables[2]
 
 
 def test_solved_tables_repr_as_dicts(graph_a):
