@@ -25,10 +25,11 @@ from .game_model import (
     STOP,
     Edge,
     GameSpec,
+    require_valid,
     theta_of,
 )
 
-PATH_ENUMERATION_NODE_LIMIT = 20  # bounds the depth-first search's recursion depth
+PATH_ENUMERATION_NODE_LIMIT = 20  # bounds recursion depth and route length, so steps bound memory
 PATH_ENUMERATION_STEP_LIMIT = 250_000  # nodes the search enters, each emitting at most one path
 
 
@@ -85,6 +86,7 @@ def enumerate_paths_oracle(spec: GameSpec) -> list[PathStats]:
     terminal and continue, and each terminal visit emits an entry. Guarded
     to :data:`PATH_ENUMERATION_NODE_LIMIT` nodes and :data:`PATH_ENUMERATION_STEP_LIMIT` steps.
     """
+    require_valid(spec)
     if len(spec.nodes) > PATH_ENUMERATION_NODE_LIMIT:
         raise EnumerationGuardError(
             f"path enumeration is guarded to {PATH_ENUMERATION_NODE_LIMIT} nodes, spec has {len(spec.nodes)}",

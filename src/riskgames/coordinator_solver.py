@@ -25,9 +25,9 @@ integers over one common denominator, is the concatenation of its signal
 groups' vectors, each a group's stage costs plus its subtree's vector, and
 the aggregator depends on nothing else. So each distinct root vector is
 priced once, as an integer dot product, and only the optimal trees are
-built. The equilibrium verifier runs one budgeted deviation search, on an
-explicit stack, for the machine and for each rider type, and one verdict
-builder turns each agent's best deviation into its incentive check.
+built, on the explicit stack that also runs the equilibrium verifier's
+budgeted deviation search for the machine and for each rider type; one
+verdict builder turns each agent's best deviation into its incentive check.
 
 Every forward evaluation of a policy, of any kind, is one walk:
 :func:`playout` follows one rider type's route from the start node and
@@ -62,7 +62,6 @@ from .errors import (
     STATE_GUARD,
     DeviationBudgetError,
     EnumerationGuardError,
-    SpecValidationError,
     UnsupportedAggregatorError,
     _count_text,
 )
@@ -74,7 +73,7 @@ from .game_model import (
     Edge,
     GameSpec,
     as_fraction,
-    validate_spec,
+    require_valid,
 )
 from .risk_measures import EmpiricalOutcome, cvar_aggregate, cvar_pricer
 
@@ -212,6 +211,11 @@ class _Engine:
         stage = {key: [f * row[i] for i, f in factors] for key, row in self.costs.items()}
         return self.denominator * lcm, fee, stage
 
+    def mask_sums(self, weights: dict[int, Fraction | int]):
+        """(scale, fee, stage) of :meth:`scaled_stages`, each row summed per member mask."""
+        scale, fee, stage = self.scaled_stages(weights)
+        return scale, _mask_sums(fee), {key: _mask_sums(row) for key, row in stage.items()}
+
     def layers(self) -> list[dict[str, tuple[list[tuple[int, str, str | None]], dict[int, BeliefState]]]]:
         """Per period, index 1 to T or to the last nonempty layer, {node: (moves, {mask: state})}.
 
@@ -286,6 +290,31 @@ def _mask_sums(row: list[int]) -> list[int]:
     return sums
 
 
+def _run_without_recursion(step, root, memo: dict):
+    """Evaluate a memoized recursion written as a generator, on an explicit stack.
+
+    ``step(state)`` yields each child state whose result it needs, is sent
+    that result back (from ``memo`` when the child was already entered),
+    and returns its own result, storing it in ``memo``. Children run depth
+    first in the order they are asked for, as the plain recursion would run
+    them. It runs the verifier's search and the oracle's tree build.
+    """
+    stack = [step(root)]
+    result = None
+    while stack:
+        try:
+            child = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+            continue
+        result = memo.get(child, stack)  # the stack itself marks a child not yet entered
+        if result is stack:
+            stack.append(step(child))
+            result = None
+    return result
+
+
 class _IntegerSolver(_Engine):
     """Backward induction over the engine's period layers, prescription search by subset DP.
 
@@ -302,9 +331,7 @@ class _IntegerSolver(_Engine):
 
     def __init__(self, spec: GameSpec):
         super().__init__(spec)
-        self.scale, fee, stage = self.scaled_stages(self.weights)
-        self._fee_sums = _mask_sums(fee)
-        self._stage_sums = {key: _mask_sums(row) for key, row in stage.items()}
+        self.scale, self._fee_sums, self._stage_sums = self.mask_sums(self.weights)
         self._bit = {i: 1 << k for k, i in enumerate(self.support0)}
         size = len(self.support0)
         self._digits = {base: (base**size, _mask_sums([base ** (size - 1 - k) for k in range(size)]))
@@ -511,9 +538,7 @@ def solve_dp(spec: GameSpec) -> CoordinatorPolicy:
     common denominator, and the tie-break convention of the module docstring
     is folded into their low digits.
     """
-    problems = validate_spec(spec)
-    if problems:
-        raise SpecValidationError(problems)
+    require_valid(spec)
     if spec.machine_aggregator.kind != "expectation":
         raise UnsupportedAggregatorError(
             "exact backward induction requires the expectation aggregator; "
@@ -600,15 +625,15 @@ class _Oracle(_Engine):
 
         Each distinct root vector is priced once, as an integer dot product
         (:func:`_integer_pricer`), and only the least price becomes a
-        ``Fraction``. The optimal vectors are split back down, from the
-        first period on, by (concatenation, product) over the same splits
-        into the prescriptions and (state, vector) pairs they need. Only
-        those pairs' trees are built, from the last period back, and sorting
-        the root's trees by key gives the canonical order.
+        ``Fraction``. Each optimal vector is split back down by
+        (concatenation, product) over the same splits into the prescriptions
+        and the (state, vector) pairs they need, and each pair's trees are
+        built once, children first, on :func:`_run_without_recursion`'s
+        stack. Sorting the root's trees by key gives the canonical order.
         """
         bound = len(layers) * max(abs(c) + self.charge for row in self.costs.values() for c in row)
         width = bound.bit_length() + 1
-        _, fee, stage = self.scaled_stages({i: 1 << width * k for k, i in enumerate(self.support0)})
+        _, fee_sums, stage_sums = self.mask_sums({i: 1 << width * k for k, i in enumerate(self.support0)})
         half, full = 1 << width - 1, (1 << width) - 1
 
         def unpack(v: int) -> list[int]:
@@ -617,9 +642,6 @@ class _Oracle(_Engine):
                 entries.append(((v + half) & full) - half)
                 v = (v - entries[-1]) >> width
             return entries
-
-        fee_sums = _mask_sums(fee)
-        stage_sums = {key: _mask_sums(row) for key, row in stage.items()}
 
         def rows(later, node, mask, e, dst):
             # per member set, its group vectors: its stage costs (fee on override) plus a subtree's
@@ -638,9 +660,9 @@ class _Oracle(_Engine):
         prices = {v: price(unpack(v)) for v in vectors}
         best = min(prices.values())
 
-        queue = [(1, *root, v) for v, p in prices.items() if p == best]
-        ways = dict.fromkeys(queue)  # per (period, node, mask, vector): (machine action, groups) pairs
-        for key in queue:
+        built: dict[tuple, list[tuple[tuple, PolicyTree]]] = {}  # per (period, node, mask, vector)
+
+        def trees(key):
             t, node, mask, vector = key
             part = _mask_sums([entry << width * k for k, entry in enumerate(unpack(vector))])
 
@@ -658,29 +680,26 @@ class _Oracle(_Engine):
                 return fit_rows
 
             found = self._fold(node, mask, layers[t][node][0], split, *_CONCATENATION_PRODUCT)
-            acts = self.machine_actions[node]
-            ways[key] = [(a_m, groups) for a_m, fits in zip(acts, found) for groups in fits]
-            for _, groups in ways[key]:
-                for sub, _, dst, w in groups:
-                    if dst is not None and (t + 1, dst, sub, w) not in ways:
-                        ways[(t + 1, dst, sub, w)] = None
-                        queue.append((t + 1, dst, sub, w))
-        built: dict[tuple, list[tuple[tuple, PolicyTree]]] = {}
-        for key in reversed(queue):  # the next period's trees first
-            t, node, mask, _ = key
-            built[key] = trees = []
-            for a_m, groups in ways[key]:
-                groups = sorted(groups, key=lambda g: g[0] & -g[0])  # children by their first member
-                human = tuple((i, next(g[1] for g in groups if g[0] >> k & 1))
-                              for k, i in enumerate(self.support0) if mask >> k & 1)
-                presc = Prescription(a_m, human)
-                head = (_HUMAN_RANK[a_m], tuple(_HUMAN_RANK[s] for _, s in human))
-                options = [[((), None)] if dst is None else built[(t + 1, dst, sub, w)]
-                           for sub, _, dst, w in groups]
-                for chosen in itertools.product(*options):
-                    children = tuple((g[1], tree) for g, (_, tree) in zip(groups, chosen))
-                    trees.append(((*head, *(k for k, _ in chosen)), PolicyTree(presc, children)))
-        roots = [pair for key in queue if key[0] == 1 for pair in built[key]]
+            pairs = []
+            for a_m, fits in zip(self.machine_actions[node], found):
+                for groups in fits:
+                    groups = sorted(groups, key=lambda g: g[0] & -g[0])  # children by their first member
+                    human = tuple((i, next(g[1] for g in groups if g[0] >> k & 1))
+                                  for k, i in enumerate(self.support0) if mask >> k & 1)
+                    presc = Prescription(a_m, human)
+                    head = (_HUMAN_RANK[a_m], tuple(_HUMAN_RANK[s] for _, s in human))
+                    options = []
+                    for sub, _, dst, w in groups:
+                        child = (t + 1, dst, sub, w)
+                        options.append([((), None)] if dst is None else built.get(child) or (yield child))
+                    for chosen in itertools.product(*options):
+                        children = tuple((g[1], tree) for g, (_, tree) in zip(groups, chosen))
+                        pairs.append(((*head, *(k for k, _ in chosen)), PolicyTree(presc, children)))
+            built[key] = pairs
+            return pairs
+
+        roots = [pair for v, p in prices.items() if p == best
+                 for pair in _run_without_recursion(trees, (1, *root, v), built)]
         optimal = sorted(roots, key=operator.itemgetter(0))
         return Fraction(best, self.denominator * denominator), [tree for _, tree in optimal]
 
@@ -692,9 +711,7 @@ _CONCATENATION_PRODUCT = (lambda parts: sum(parts, []), lambda a, b: [x + y for 
 
 def count_deterministic_policies(spec: GameSpec) -> int:
     """Number of deterministic coordinator decision trees for an instance."""
-    problems = validate_spec(spec)
-    if problems:
-        raise SpecValidationError(problems)
+    require_valid(spec)
     oracle = _Oracle(spec)
     return oracle.tree_count(oracle.layers())
 
@@ -727,9 +744,7 @@ def brute_force_oracle(spec: GameSpec, guard: int = DEFAULT_POLICY_GUARD) -> Ora
     needs no bound besides ``guard`` and, on a cycle, the state guard that
     the layers check before they are counted.
     """
-    problems = validate_spec(spec)
-    if problems:
-        raise SpecValidationError(problems)
+    require_valid(spec)
     oracle = _Oracle(spec)
     layers = oracle.layers()
     n = oracle.tree_count(layers)
@@ -923,30 +938,6 @@ class _Budget:
             )
 
 
-def _run_without_recursion(step, root, memo: dict):
-    """Evaluate a memoized recursion written as a generator, on an explicit stack.
-
-    ``step(state)`` yields each child state whose result it needs, is sent
-    that result back (from ``memo`` when the child was already entered),
-    and returns its own result. Children run depth first in the order
-    they are asked for, as the plain recursion would run them.
-    """
-    stack = [step(root)]
-    result = None
-    while stack:
-        try:
-            child = stack[-1].send(result)
-        except StopIteration as done:
-            stack.pop()
-            result = done.value
-            continue
-        result = memo.get(child, stack)  # the stack itself marks a child not yet entered
-        if result is stack:
-            stack.append(step(child))
-            result = None
-    return result
-
-
 def _best_response(engine: _Engine, policy: CoordinatorPolicy, options, budget: _Budget):
     """(least cost, argmin walk) of one agent's unilateral deviations from the policy.
 
@@ -983,8 +974,7 @@ def _best_response(engine: _Engine, policy: CoordinatorPolicy, options, budget: 
     root = _run_without_recursion(best, policy.root, memo)
     walk: dict[BeliefState, str] = {}
     queue = [policy.root]
-    while queue:
-        state = queue.pop(0)
+    for state in queue:  # grows while read: breadth first
         entry = memo.get(state)
         if state not in walk and entry is not None:
             walk[state] = entry[1]
@@ -1081,8 +1071,7 @@ def _belief_problem(spec: GameSpec, policy: CoordinatorPolicy) -> str | None:
     the first disagreement as text, or None when there is none."""
     weights = policy.weights
     queue = [policy.root]
-    while queue:
-        state = queue.pop(0)
+    for state in queue:  # grows while read: breadth first
         presc = policy.decision.get(state)
         if presc is None:
             return f"policy undefined at reachable state {state}"

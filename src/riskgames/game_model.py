@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
-from .errors import IllegalMoveError, PathError
+from .errors import IllegalMoveError, PathError, SpecValidationError
 
 Number = Union[int, float, Fraction]
 
@@ -401,6 +401,13 @@ def validate_spec(spec: GameSpec) -> list[str]:
                 f"{spec.horizon_T} (needs {dist} moves plus a STOP period)"
             )
     return problems
+
+
+def require_valid(spec: GameSpec) -> None:
+    """Raise :class:`SpecValidationError` with every problem :func:`validate_spec` finds."""
+    problems = validate_spec(spec)
+    if problems:
+        raise SpecValidationError(problems)
 
 
 def with_prior(spec: GameSpec, prior: Sequence[float]) -> GameSpec:

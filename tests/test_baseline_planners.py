@@ -18,7 +18,8 @@ from riskgames.baseline_planners import (
     neutral_override_plans,
     risk_adjusted_shortest_path,
 )
-from riskgames.errors import EnumerationGuardError, UnreachableTerminalError
+from riskgames.coordinator_solver import solve_dp
+from riskgames.errors import EnumerationGuardError, SpecValidationError, UnreachableTerminalError
 from riskgames.game_model import as_fraction, path_criterion
 
 THETA_GRID = (0, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1)
@@ -54,6 +55,24 @@ def test_enumeration_graph_b_has_three_distinct_argmins(graph_b):
         best = min(stats, key=lambda ps: ps.criterion(theta))
         argmins.add(best.directions)
     assert len(argmins) == 3
+
+
+@pytest.mark.parametrize(
+    "change, problem",
+    [
+        ({"start_node": "zz"}, "start node 'zz' not in node set"),
+        ({"horizon_T": 0}, "horizon must be a positive integer, got 0"),
+        ({"horizon_T": 3}, "no terminal reachable from '1' within horizon 3 (needs 5 moves plus a STOP period)"),
+    ],
+    ids=["unknown-start", "zero-horizon", "short-horizon"],
+)
+def test_enumeration_rejects_invalid_spec(graph_a, change, problem):
+    # as solve_dp does, with the same problems, rather than a KeyError or no routes
+    spec = replace(graph_a, **change)
+    for search in (enumerate_paths_oracle, solve_dp):
+        with pytest.raises(SpecValidationError) as err:
+            search(spec)
+        assert err.value.violations == [problem]
 
 
 def test_enumeration_node_guard():

@@ -28,6 +28,7 @@ from riskgames.coordinator_solver import (
     _IntegerSolver,
     _integer_pricer,
     _member_signals,
+    _run_without_recursion,
     aggregate,
     brute_force_oracle,
     count_deterministic_policies,
@@ -973,6 +974,32 @@ def test_verify_reports_a_type_without_policy_weight(graph_a):
         _belief_failure(lacking),
         (rider,),
     )
+
+
+def test_run_without_recursion_runs_deep_shared_and_ordered_recursions():
+    # the verifier's deviation search and the oracle's tree build both run on it
+    def depth(n):
+        memo[n] = 0 if n == 0 else (yield n - 1) + 1
+        return memo[n]
+
+    memo = {}
+    assert _run_without_recursion(depth, 100_000, memo) == 100_000 and len(memo) == 100_001
+
+    def paths(node):  # the paths down from ``node``, the one-node path included
+        entered.append(node)
+        total = 1
+        for child in graph[node]:
+            total += yield child
+        memo[node] = total
+        return total
+
+    for order in (["left", "right"], ["right", "left"]):
+        graph = {"top": order, "left": ["bottom"], "right": ["bottom"], "bottom": []}
+        entered, memo = [], {}
+        assert _run_without_recursion(paths, "top", memo) == 5
+        assert entered == ["top", order[0], "bottom", order[1]]  # bottom once, in the order asked
+        entered, memo = [], {"bottom": 10}  # an entry already in the memo is read, never entered
+        assert _run_without_recursion(paths, "top", memo) == 23 and entered == ["top", *order]
 
 
 def test_smallest_passing_deviation_budget(graph_b):
