@@ -495,7 +495,11 @@ class _DecisionTable(_SolverTable):
     """A solve's decision table: a state's prescription is decoded on its first read."""
 
     def get(self, state, default=None):
-        presc = self._solver._prescriptions.get(state) or self._solver._decoded(state, successors=False)
+        try:
+            presc = self._solver._prescriptions.get(state)
+        except TypeError:  # an unhashable key is no state
+            return default
+        presc = presc or self._solver._decoded(state, successors=False)
         return default if presc is None else presc
 
 
@@ -509,9 +513,10 @@ class _TransitionTable(_SolverTable):
     def get(self, key, default=None):
         try:
             state, signal = key
-        except (TypeError, ValueError):  # not a (state, signal) pair
+            kept = self._solver._successors.get(state)
+        except (TypeError, ValueError):  # not a (state, signal) pair, or an unhashable state
             return default
-        successors = self._successors(state)
+        successors = kept or self._solver._decoded(state, successors=True)
         return default if successors is None else successors.get(signal, default)
 
     def __iter__(self):

@@ -239,58 +239,47 @@ def axiom_probe(
     """Test monotonicity, translation invariance and convexity of ``rho``.
 
     Each trial is a pair of outcomes on a common sample space, so pointwise
-    dominance and mixtures are well defined; a mismatched pair raises
-    ValueError. Reports pass/fail per axiom with the first counterexample.
+    dominance and mixtures are well defined; a mismatched pair or a mixture
+    weight outside [0, 1] raises ValueError before any search. Each axiom's
+    own search over the trials reports its first counterexample.
     """
     for z, zp in trials:
         if not z.same_sample_space(zp):
             raise ValueError("trial pair has mismatched sample spaces")
+    mixes = [(t, as_fraction(t)) for t in ts]
+    for t, tf in mixes:
+        if tf < 0 or tf > 1:
+            raise ValueError(f"mixture weight {t!r} outside [0, 1]")
 
-    mono_fail = trans_fail = conv_fail = None
-    for z, zp in trials:
-        # Monotonicity, checked in both dominance directions.
-        if mono_fail is None:
+    def monotonicity():
+        for z, zp in trials:
             for hi, lo in ((z, zp), (zp, z)):
                 if all(
                     as_fraction(a) >= as_fraction(b)
                     for (a, _), (b, _) in zip(hi.points, lo.points)
-                ):
-                    if rho(hi) < rho(lo) - tol:
-                        mono_fail = (
-                            f"Z={hi.points} dominates Z'={lo.points} pointwise "
-                            f"but rho(Z)={rho(hi)} < rho(Z')={rho(lo)}"
-                        )
-                        break
-        if trans_fail is None:
-            for member in (z, zp):
+                ) and rho(hi) < rho(lo) - tol:
+                    yield (f"Z={hi.points} dominates Z'={lo.points} pointwise "
+                           f"but rho(Z)={rho(hi)} < rho(Z')={rho(lo)}")
+
+    def translation_invariance():
+        for pair in trials:
+            for member in pair:
                 for a in shifts:
                     lhs = rho(member.shifted(a))
                     rhs = rho(member) + as_fraction(a)
                     if abs(lhs - rhs) > tol:
-                        trans_fail = (
-                            f"rho(Z + {a}) = {lhs} but rho(Z) + {a} = {rhs} for Z={member.points}"
-                        )
-                        break
-                if trans_fail:
-                    break
-        if conv_fail is None:
-            for t in ts:
-                tf = as_fraction(t)
-                if tf < 0 or tf > 1:
-                    raise ValueError(f"mixture weight {t!r} outside [0, 1]")
+                        yield f"rho(Z + {a}) = {lhs} but rho(Z) + {a} = {rhs} for Z={member.points}"
+
+    def convexity():
+        for z, zp in trials:
+            for t, tf in mixes:
                 lhs = rho(mix_outcomes(z, zp, tf))
                 rhs = tf * rho(z) + (1 - tf) * rho(zp)
                 if lhs > rhs + tol:
-                    conv_fail = (
-                        f"rho({t}*Z + {1 - tf}*Z') = {lhs} exceeds the chord value {rhs} "
-                        f"for Z={z.points}, Z'={zp.points}"
-                    )
-                    break
+                    yield (f"rho({t}*Z + {1 - tf}*Z') = {lhs} exceeds the chord value {rhs} "
+                           f"for Z={z.points}, Z'={zp.points}")
 
-    checks = (
-        AxiomCheck("monotonicity", mono_fail is None, mono_fail),
-        AxiomCheck("translation_invariance", trans_fail is None, trans_fail),
-        AxiomCheck("convexity", conv_fail is None, conv_fail),
-    )
+    found = {s.__name__: next(s(), None) for s in (monotonicity, translation_invariance, convexity)}
+    checks = tuple(AxiomCheck(axiom, text is None, text) for axiom, text in found.items())
     label = name or getattr(rho, "__name__", "criterion")
     return AxiomReport(criterion=label, checks=checks)

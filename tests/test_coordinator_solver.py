@@ -216,6 +216,8 @@ def test_solved_tables_read_off_layer_keys_as_missing(graph_a, graph_b):
             BeliefState(node, (0, 1, 2, 3), period),
             (node, support),
             (node, 0, period),
+            (node, list(support), period),  # unhashable keys: the per-state caches must not raise
+            BeliefState(node, list(support), period),
             "root",
             7,
         ]

@@ -193,6 +193,76 @@ def test_axiom_probe_monotonicity_counterexample_exists_in_exhaustive_grid():
     assert not report.check("monotonicity").passed
 
 
+def _negative_variance(z: EmpiricalOutcome) -> Fraction:
+    return -z.variance()
+
+
+_GRID_REPORTS = {
+    "mean_variance(theta=1)": (
+        (
+            "monotonicity",
+            False,
+            "Z=((1, Fraction(1, 4)), (2, Fraction(3, 4))) dominates "
+            "Z'=((0, Fraction(1, 4)), (2, Fraction(3, 4))) pointwise "
+            "but rho(Z)=31/16 < rho(Z')=9/4",
+        ),
+        ("translation_invariance", True, None),
+        ("convexity", True, None),
+    ),
+    "cvar(alpha=0.9)": (
+        ("monotonicity", True, None),
+        ("translation_invariance", True, None),
+        ("convexity", True, None),
+    ),
+    "_negative_variance": (
+        (
+            "monotonicity",
+            False,
+            "Z=((0, Fraction(1, 4)), (1, Fraction(3, 4))) dominates "
+            "Z'=((0, Fraction(1, 4)), (0, Fraction(3, 4))) pointwise "
+            "but rho(Z)=-3/16 < rho(Z')=0",
+        ),
+        (
+            "translation_invariance",
+            False,
+            "rho(Z + -5.0) = 0 but rho(Z) + -5.0 = -5 "
+            "for Z=((0, Fraction(1, 4)), (0, Fraction(3, 4)))",
+        ),
+        (
+            "convexity",
+            False,
+            "rho(0.25*Z + 3/4*Z') = -27/256 exceeds the chord value -9/64 "
+            "for Z=((0, Fraction(1, 4)), (0, Fraction(3, 4))), "
+            "Z'=((0, Fraction(1, 4)), (1, Fraction(3, 4)))",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [make_mean_variance_criterion(1), make_cvar_criterion(0.9), _negative_variance],
+    ids=lambda rho: rho.__name__,
+)
+def test_axiom_probe_reports_first_counterexample_per_axiom(rho):
+    # The whole report is pinned: each axiom's verdict and the first
+    # counterexample its search meets, in trial order.
+    report = axiom_probe(rho, _two_point_grid(), TS)
+    got = tuple((c.axiom, c.passed, c.counterexample) for c in report.checks)
+    assert (report.criterion, got) == (rho.__name__, _GRID_REPORTS[rho.__name__])
+
+
+@pytest.mark.parametrize("ts", [(0.5, 2.0), (2.0,), (0.5, -0.25)])
+def test_axiom_probe_rejects_mixture_weight_outside_unit_interval(ts):
+    # The even mixture of these two is constant, so convexity already fails
+    # at t = 0.5; the weights are checked before any search, so the later
+    # out-of-range weight still raises.
+    z = EmpiricalOutcome.of([(0, 0.5), (2, 0.5)])
+    z_prime = EmpiricalOutcome.of([(2, 0.5), (0, 0.5)])
+    with pytest.raises(ValueError, match="outside"):
+        axiom_probe(_negative_variance, [(z, z_prime)], ts)
+
+
 def test_axiom_probe_rejects_mismatched_sample_spaces():
     z = EmpiricalOutcome.of([(1, 0.5), (2, 0.5)])
     bad = EmpiricalOutcome.of([(1, 0.25), (2, 0.75)])
