@@ -217,6 +217,38 @@ def risk_adjusted_shortest_path(spec: GameSpec, theta) -> PlannerResult:
     return PlannerResult(path=plan.path, per_type_criterion=per_type, planner_theta=t)
 
 
+def risk_adjusted_shortest_paths(spec: GameSpec, thetas: Iterable) -> dict[Fraction, PlannerResult]:
+    """:func:`risk_adjusted_shortest_path` at each of ``thetas``, keyed by exact theta.
+
+    A planned route is piecewise constant in theta: a route that
+    :func:`_induct` reads back at theta_1 and at theta_2 is read back at
+    every theta between them. Along the route each (node, r) cost-to-go is a
+    concave minimum of lines in theta that meets the route's own line at
+    both ends, so the two agree between them; every other option there is
+    concave too and stays at or above that line, strictly above it when
+    ranked earlier (it lost at both ends), so the first strict minimum never
+    changes. So over the sorted thetas this plans the two ends of an
+    interval, gives every theta inside it their route when the two agree,
+    and otherwise plans the middle theta and splits the interval there.
+    """
+    ts = sorted({theta_of(t) for t in thetas})
+    if not ts:
+        return {}
+    plans = {t: risk_adjusted_shortest_path(spec, t) for t in {ts[0], ts[-1]}}
+    intervals = [(0, len(ts) - 1)]
+    while intervals:
+        lo, hi = intervals.pop()
+        route = plans[ts[lo]]
+        if route.path == plans[ts[hi]].path:
+            plans.update((t, PlannerResult(route.path, dict(route.per_type_criterion), t))
+                         for t in ts[lo + 1:hi])
+        elif hi - lo > 1:
+            mid = (lo + hi) // 2
+            plans[ts[mid]] = risk_adjusted_shortest_path(spec, ts[mid])
+            intervals += [(lo, mid), (mid, hi)]
+    return plans
+
+
 def average_theta(spec: GameSpec) -> Fraction:
     """Prior-weighted mean risk-aversion coefficient."""
     return sum((w * spec.exact_types[i] for i, w in spec.exact_prior().items()), start=Fraction(0))

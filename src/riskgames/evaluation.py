@@ -20,11 +20,19 @@ from .baseline_planners import (
     baseline_policy,
     best_case_value,
     neutral_override_plans,
-    risk_adjusted_shortest_path,
+    risk_adjusted_shortest_paths,
 )
 from .coordinator_solver import TypeTrajectory, aggregate, playout, solve_dp
 from .errors import UnsupportedAggregatorError
-from .game_model import GameSpec, PublicHistory, Trajectory, as_float, as_fraction, with_prior
+from .game_model import (
+    GameSpec,
+    PublicHistory,
+    Trajectory,
+    as_float,
+    as_fraction,
+    require_valid,
+    with_prior,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -132,6 +140,19 @@ def _sweep_priors(spec: GameSpec, sweep_type: int, p: Fraction) -> tuple[float, 
     return tuple(float(p) if i == sweep_type else float(rest) for i in range(k))
 
 
+def _scaled(scale: int, fractions) -> list[int]:
+    """Each fraction times ``scale``, a multiple of every denominator, as an integer."""
+    return [x.numerator * (scale // x.denominator) for x in fractions]
+
+
+def _grid_fraction(p) -> Fraction:
+    """A grid value as an exact prior mass, checked to lie in [0, 1]."""
+    pf = as_fraction(p)
+    if pf < 0 or pf > 1:
+        raise ValueError(f"grid value {p!r} outside [0, 1]")
+    return pf
+
+
 def prior_sweep(
     spec: GameSpec,
     sweep_type: int,
@@ -142,48 +163,78 @@ def prior_sweep(
 
     For each grid point p the swept type gets mass p and every other type
     (1 - p) / (K - 1), and one row of exact regrets is emitted, in grid
-    order. Each type's best-case criterion and its criterion under the
-    neutral baseline (plain or with overrides) do not depend on the prior,
-    so they are planned once per sweep and weighted by each point's prior;
-    only the coordinator problem and the average baseline, whose theta bar
-    moves with the prior, are re-solved at every point, each on a
-    :func:`with_prior` copy that shares the spec's prior-free tables and
-    the solver's layers, which are built once per prior support.
+    order, with grid values checked and solved in that order.
+
+    - Once per sweep: the neutral baseline (plain or with overrides), and one
+      :func:`risk_adjusted_shortest_paths` call for each type's best-case
+      route and the average baseline's route at every point's theta bar.
+    - Once per route: that call plans only where the route can change, so
+      the average baseline costs one plan per route it takes plus the
+      bisection steps between them, not one per point. Every per-type
+      criterion vector (best case, neutral, each point's average route)
+      goes over one common denominator: the spec's cost denominator times
+      the lcm of the types' denominators, as each criterion is a route's
+      moments and fees plus theta times its variance.
+    - Once per point: the coordinator problem, solved on a
+      :func:`with_prior` copy that shares the spec's prior-free tables and
+      the solver's layers, which are built once per prior support; and the
+      row, priced on integers with the point's weights over their lcm, each
+      of its four numbers one exact ``Fraction``.
     """
     if not 0 <= sweep_type < len(spec.types):
         raise ValueError(f"sweep type index {sweep_type} out of range")
     if spec.machine_aggregator.kind != "expectation":
         raise UnsupportedAggregatorError("prior sweeps run under the expectation aggregator")
+    require_valid(spec)
     points = DEFAULT_SWEEP_GRID if grid is None else tuple(grid)
-    types = range(len(spec.types))
-    best_case = {
-        i: risk_adjusted_shortest_path(spec, spec.exact_types[i]).per_type_criterion[i] for i in types
-    }
-    if neutral_with_overrides:
-        neutral = {i: evaluate_policy_exact(spec, plan, i).criterion
-                   for i, plan in neutral_override_plans(spec, types).items()}
-    else:
-        neutral = baseline_policy(spec, "neutral").per_type_criterion
-    rows: list[RegretRow] = []
+    thetas = spec.exact_types  # strictly increasing
+    theta_scale = math.lcm(*(t.denominator for t in thetas))
+    scaled_thetas = _scaled(theta_scale, thetas)
+    # per grid value up to the first bad one, whose error is raised after the rows before it: the
+    # copy, its weights over their lcm, that lcm, and its theta bar, equal to average_theta(copy)
+    swept, bad_value = [], None
     for p in points:
-        pf = as_fraction(p)
-        if pf < 0 or pf > 1:
-            raise ValueError(f"grid value {p!r} outside [0, 1]")
-        swept = with_prior(spec, _sweep_priors(spec, sweep_type, pf))
-        weights = swept.exact_prior()
-        bcp = sum((w * best_case[i] for i, w in weights.items()), start=Fraction(0))
-        hm_policy = solve_dp(swept)
-        hm = hm_policy.value[hm_policy.root]
-        average = baseline_policy(swept, "average").per_type_criterion
-        ma = sum((w * average[i] for i, w in weights.items()), start=Fraction(0))
-        mn = sum((w * neutral[i] for i, w in weights.items()), start=Fraction(0))
+        try:
+            pf = _grid_fraction(p)
+        except (TypeError, ValueError, ArithmeticError) as err:
+            bad_value = err
+            break
+        point = with_prior(spec, _sweep_priors(spec, sweep_type, pf))
+        prior = point.exact_prior()
+        lcm = math.lcm(*(w.denominator for w in prior.values()))
+        weights = dict(zip(prior, _scaled(lcm, prior.values())))
+        bar = Fraction(sum(w * scaled_thetas[i] for i, w in weights.items()), lcm * theta_scale)
+        swept.append((point, weights, lcm, bar))
+    # planning every theta bar before the first solve raises no new error: a planner's one
+    # theta-dependent error is _induct's negative-cycle guard, whose text does not depend on theta,
+    # and a cycle negative at a theta bar (>= 0) is negative at theta = 0, where the neutral
+    # baseline meets it before any solve
+    plans = risk_adjusted_shortest_paths(spec, [*thetas, *(bar for *_, bar in swept)])
+    if neutral_with_overrides:
+        neutral = [evaluate_policy_exact(spec, plan, i).criterion
+                   for i, plan in neutral_override_plans(spec, range(len(thetas))).items()]
+    else:
+        neutral = baseline_policy(spec, "neutral").per_type_criterion.values()
+    scale = spec.integer_costs[0] * theta_scale  # a denominator of every per-type criterion
+    best_case = _scaled(scale, (plans[t].per_type_criterion[i] for i, t in enumerate(thetas)))
+    neutral = _scaled(scale, neutral)
+    rows: list[RegretRow] = []
+    for p, (point, weights, lcm, bar) in zip(points, swept):
+        policy = solve_dp(point)
+        hm, unit = policy.value[policy.root], lcm * scale
+        average = _scaled(scale, plans[bar].per_type_criterion.values())
+        bc, ma, mn = (sum(w * vector[i] for i, w in weights.items())
+                      for vector in (best_case, average, neutral))
         rows.append(
             RegretRow(
                 sweep_value=float(p),
-                regret_hm=as_float(hm - bcp),
-                regret_ma=as_float(ma - bcp),
-                regret_mn=as_float(mn - bcp),
-                bcp=as_float(bcp),
+                regret_hm=as_float(Fraction(hm.numerator * unit - hm.denominator * bc,
+                                            hm.denominator * unit)),
+                regret_ma=as_float(Fraction(ma - bc, unit)),
+                regret_mn=as_float(Fraction(mn - bc, unit)),
+                bcp=as_float(Fraction(bc, unit)),
             )
         )
+    if bad_value is not None:
+        raise bad_value
     return rows

@@ -2,6 +2,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reference_baselines as reference
 from instance_gen import random_game, seeded_lattice, skip_chain
@@ -17,6 +19,7 @@ from riskgames.baseline_planners import (
     neutral_override_plan,
     neutral_override_plans,
     risk_adjusted_shortest_path,
+    risk_adjusted_shortest_paths,
 )
 from riskgames.coordinator_solver import solve_dp
 from riskgames.errors import EnumerationGuardError, SpecValidationError, UnreachableTerminalError
@@ -367,3 +370,64 @@ def test_responder_on_a_zero_cost_ride_cycle_runs_to_the_horizon():
         got = _induct(spec, theta, machine)
         assert len(got) == 12_001
         assert got == reference.induct(spec, theta, True, machine), theta
+
+
+def _route_tie_game(equal_first: bool) -> GameSpec:
+    """Two start-to-terminal routes with equal moments (4, 2) and a third at (3, 6).
+
+    Criteria cross at theta = 1/4, where all three tie; ``equal_first`` ranks
+    the two equal routes (N, S) ahead of the third (E), else the third goes N.
+    """
+    c = CostDistribution
+    equal, other = (("N", "S"), "E") if equal_first else (("S", "E"), "N")
+    return GameSpec(
+        nodes=("s", "a", "b", "c", "t"),
+        edges=(Edge("s", "a", equal[0], c(2, 1)), Edge("s", "b", equal[1], c(2, 1)),
+               Edge("s", "c", other, c(1, 3)), Edge("a", "t", "E", c(2, 1)),
+               Edge("b", "t", "E", c(2, 1)), Edge("c", "t", "E", c(2, 3))),
+        terminals={"t": c(0, 0)},
+        start_node="s",
+        horizon_T=3,
+        types=(0.0, 1.0),
+        prior=(0.5, 0.5),
+    )
+
+
+def _route_changes(spec) -> bool:
+    return risk_adjusted_shortest_path(spec, 0).path != risk_adjusted_shortest_path(spec, 2).path
+
+
+# the two tie games, then the random games whose planned route changes between theta = 0 and 2
+INTERVAL_GAMES = (_route_tie_game(True), _route_tie_game(False),
+                  *filter(_route_changes, (random_game(seed, max_nodes=7, max_extra_edges=6) for seed in range(300))))
+
+
+def test_route_tie_game_ties_at_a_quarter():
+    for equal_first, low, high in ((True, "E", "N"), (False, "N", "S")):
+        spec = _route_tie_game(equal_first)
+        routes = {t: risk_adjusted_shortest_path(spec, t).path[0].direction
+                  for t in (Fraction(0), Fraction(1, 5), Fraction(1, 4), Fraction(3, 10), Fraction(1))}
+        tie = high if equal_first else low  # the first ranked of the three
+        assert routes == {0: low, Fraction(1, 5): low, Fraction(1, 4): tie, Fraction(3, 10): high, 1: high}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(game=st.sampled_from(range(len(INTERVAL_GAMES))),
+       thetas=st.lists(st.fractions(0, 2, max_denominator=12), min_size=3, max_size=3, unique=True))
+@example(game=0, thetas=[Fraction(0), Fraction(1, 4), Fraction(1, 2)])
+@example(game=1, thetas=[Fraction(0), Fraction(1, 8), Fraction(1, 4)])
+@example(game=1, thetas=[Fraction(1, 4), Fraction(1, 3), Fraction(1)])
+def test_a_route_planned_at_two_thetas_is_planned_between_them(game, thetas):
+    spec = INTERVAL_GAMES[game]
+    low, mid, high = (risk_adjusted_shortest_path(spec, t).path for t in sorted(thetas))
+    if low == high:
+        assert mid == low
+
+
+def test_plans_at_many_thetas_equal_one_plan_each():
+    # unsorted, repeated, and as floats, fractions and ints alike
+    thetas = [0.3, 0, Fraction(1, 4), 1, 0.3, 0.05, 2, Fraction(1, 4), 0.8, 0.125, 0.55, 1.5]
+    for game, spec in enumerate(INTERVAL_GAMES):
+        plans = risk_adjusted_shortest_paths(spec, thetas)
+        assert plans == {as_fraction(t): risk_adjusted_shortest_path(spec, t) for t in thetas}, game
+    assert risk_adjusted_shortest_paths(INTERVAL_GAMES[0], []) == {}

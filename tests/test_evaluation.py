@@ -5,17 +5,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from instance_gen import random_game
-from riskgames import Aggregator, CostDistribution, Edge, GameSpec, evaluation
+from instance_gen import random_game, three_node_cycle
+from riskgames import Aggregator, CostDistribution, Edge, GameSpec, baseline_planners, evaluation
 from riskgames.baseline_planners import (
+    average_theta,
     baseline_policy,
     best_case_value,
     neutral_override_plan,
     risk_adjusted_shortest_path,
 )
 from riskgames.coordinator_solver import solve_dp
-from riskgames.errors import UnsupportedAggregatorError
+from riskgames.cli_bench import load_scenario
+from riskgames.errors import EnumerationGuardError, SpecValidationError, UnsupportedAggregatorError
 from riskgames.evaluation import (
+    DEFAULT_SWEEP_GRID,
     PolicyEvaluation,
     RegretRow,
     _sweep_priors,
@@ -197,7 +200,7 @@ def test_prior_sweep_neutral_override_variant_runs(graph_b):
 
 
 def _replanned_sweep(spec, sweep_type, grid, neutral_with_overrides):
-    """The sweep with every baseline re-planned at every grid point."""
+    """The sweep with every baseline re-planned at every grid point, rounded by ``evaluation.as_float``."""
     rows = []
     for p in grid:
         swept = with_prior(spec, _sweep_priors(spec, sweep_type, as_fraction(p)))
@@ -210,22 +213,78 @@ def _replanned_sweep(spec, sweep_type, grid, neutral_with_overrides):
         bcp = best_case_value(swept)
         policy = solve_dp(swept)
         ma = evaluate_policy(swept, baseline_policy(swept, "average")).weighted_criterion
-        rows.append(RegretRow(float(p), float(policy.value[policy.root] - bcp), float(ma - bcp),
-                              float(mn - bcp), float(bcp)))
+        rows.append(RegretRow(float(p), *map(evaluation.as_float, (
+            policy.value[policy.root] - bcp, ma - bcp, mn - bcp, bcp))))
     return rows
 
 
+def _sweep_games(graph_a, graph_b):
+    """The bundled scenarios, then random games of 2 to 4 types (K = 4 priors are float-rounded)."""
+    games = {"graph_a": graph_a, "graph_b": graph_b}
+    for k in (2, 3, 4):
+        games.update((f"k_types {k} seed {seed}", random_game(seed, k_types=k)) for seed in range(20))
+    return {label: spec for label, spec in games.items() if len(spec.types) > 1}  # one type cannot take mass 0
+
+
 @pytest.mark.parametrize("neutral_with_overrides", [False, True], ids=["plain", "overrides"])
-def test_prior_sweep_equals_per_point_replanning(neutral_with_overrides):
-    # prior-free criteria are planned once per sweep; the rows must not change
-    grid = (0.0, 0.2, 0.5, 1.0)
-    specs = [random_game(seed, k_types=3) for seed in range(40)]
+def test_prior_sweep_equals_per_point_replanning(neutral_with_overrides, graph_a, graph_b, monkeypatch):
+    # the average baseline is planned once per route and the rows are priced on
+    # integers; the exact rows must equal re-planning everything at every point
+    monkeypatch.setattr(evaluation, "as_float", lambda x: x)
+    for label, spec in _sweep_games(graph_a, graph_b).items():
+        for axis in range(len(spec.types)):
+            rows = prior_sweep(spec, axis, None, neutral_with_overrides)
+            assert rows == _replanned_sweep(spec, axis, DEFAULT_SWEEP_GRID, neutral_with_overrides), (label, axis)
+
+
+def test_prior_sweep_on_an_unsorted_grid_with_repeats_equals_per_point_replanning(graph_b, monkeypatch):
+    monkeypatch.setattr(evaluation, "as_float", lambda x: x)
+    grid = (0.7, 0.05, 1.0, 0.35, 0.05, 0.0, 0.7, 0.5, 1.0, 0.2)
+    specs = [graph_b, *(random_game(seed, k_types=4) for seed in range(12))]
     for seed, spec in enumerate(specs):
-        if len(spec.types) < 2:  # a single type cannot take mass 0
+        if len(spec.types) < 2:
             continue
         for axis in range(len(spec.types)):
-            rows = prior_sweep(spec, axis, grid, neutral_with_overrides)
-            assert rows == _replanned_sweep(spec, axis, grid, neutral_with_overrides), (seed, axis)
+            for neutral_with_overrides in (False, True):
+                rows = prior_sweep(spec, axis, grid, neutral_with_overrides)
+                assert rows == _replanned_sweep(spec, axis, grid, neutral_with_overrides), (seed, axis)
+
+
+def test_prior_sweep_plans_the_types_and_each_points_theta_bar(graph_b, monkeypatch):
+    asked = []
+    plan = evaluation.risk_adjusted_shortest_paths
+    monkeypatch.setattr(evaluation, "risk_adjusted_shortest_paths",
+                        lambda spec, thetas: asked.append(list(thetas)) or plan(spec, thetas))
+    grid = (0.7, 0.05, 1.0, 0.35, 0.0)
+    specs = [graph_b, *(random_game(seed, k_types=4) for seed in range(12))]
+    for spec in (spec for spec in specs if len(spec.types) > 1):
+        for axis in range(len(spec.types)):
+            asked.clear()
+            prior_sweep(spec, axis, grid)
+            bars = [average_theta(with_prior(spec, _sweep_priors(spec, axis, as_fraction(p)))) for p in grid]
+            assert asked == [[*spec.exact_types, *bars]]
+
+
+# risk_adjusted_shortest_path calls per bundled sweep on the default grid: one
+# risk_adjusted_shortest_paths call plans the best case and the average baseline, and the plain
+# neutral baseline plans once more. Planning the average at every point takes K + 21, plus that one.
+SWEEP_PLANNER_CALLS = {
+    ("graph_a", 0, False): 8, ("graph_a", 0, True): 7,
+    ("graph_a", 1, False): 8, ("graph_a", 1, True): 7,
+    ("graph_b", 0, False): 11, ("graph_b", 0, True): 10,
+    ("graph_b", 1, False): 11, ("graph_b", 1, True): 10,
+    ("graph_b", 2, False): 10, ("graph_b", 2, True): 9,
+}
+
+
+@pytest.mark.parametrize("scenario,axis,neutral_with_overrides", sorted(SWEEP_PLANNER_CALLS))
+def test_prior_sweep_plans_once_per_route(scenario, axis, neutral_with_overrides, monkeypatch):
+    calls = []
+    plan = baseline_planners.risk_adjusted_shortest_path
+    monkeypatch.setattr(baseline_planners, "risk_adjusted_shortest_path",
+                        lambda spec, theta: calls.append(theta) or plan(spec, theta))
+    prior_sweep(load_scenario(scenario).spec, axis, None, neutral_with_overrides)
+    assert len(calls) == SWEEP_PLANNER_CALLS[scenario, axis, neutral_with_overrides]
 
 
 def _unshared_copy(spec, prior):
@@ -250,6 +309,24 @@ def test_shared_tables_change_no_sweep_row_or_solver_table(monkeypatch):
                 shared, fresh = solve_dp(with_prior(spec, prior)), solve_dp(_unshared_copy(spec, prior))
                 assert (shared.root, shared.decision, shared.value, shared.transitions) == (
                     fresh.root, fresh.decision, fresh.value, fresh.transitions), (seed, axis, p)
+
+
+@pytest.mark.parametrize("change", [{"start_node": "zz"}, {"horizon_T": 0}], ids=["unknown-start", "zero-horizon"])
+def test_prior_sweep_rejects_an_invalid_spec(graph_a, change):
+    # the spec's problems listed up front, not the planner's unreachable-terminal error
+    with pytest.raises(SpecValidationError):
+        prior_sweep(replace(graph_a, **change), 0, (0.0, 0.5))
+
+
+def test_prior_sweep_checks_grid_values_in_grid_order(graph_b):
+    # a bad value raises at its turn, whatever follows it, and after the solves of the points before it
+    for grid in ((0.5, float("nan"), 2.0), (0.5, 2.0, float("nan"))):
+        with pytest.raises(ValueError) as err:
+            prior_sweep(graph_b, 0, grid)
+        assert str(err.value) == ("cannot convert non-finite value nan to a rational" if math.isnan(grid[1])
+                                  else "grid value 2.0 outside [0, 1]")
+    with pytest.raises(EnumerationGuardError, match="belief states projected"):
+        prior_sweep(three_node_cycle(10**400), 0, (0.5, 2.0))  # the solver's guard, at the first point
 
 
 def test_prior_sweep_validates_inputs(graph_b):
