@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import STATE_GUARD, EnumerationGuardError, UnreachableTerminalError, _count_text
+from .errors import STATE_GUARD, EnumerationGuardError, _count_text
 from .game_model import (
     SILENT,
     STOP,
@@ -207,6 +207,7 @@ def risk_adjusted_shortest_path(spec: GameSpec, theta) -> PlannerResult:
     contribution included. Ties break toward stopping, then toward the
     lexicographically smallest direction-label sequence.
     """
+    require_valid(spec)
     t = theta_of(theta)
     plan = _route(spec, _induct(spec, t))
     # the route's exact moments, from spec.integer_costs; equal to path_criterion per type
@@ -251,6 +252,7 @@ def risk_adjusted_shortest_paths(spec: GameSpec, thetas: Iterable) -> dict[Fract
 
 def average_theta(spec: GameSpec) -> Fraction:
     """Prior-weighted mean risk-aversion coefficient."""
+    require_valid(spec)
     return sum((w * spec.exact_types[i] for i, w in spec.exact_prior().items()), start=Fraction(0))
 
 
@@ -260,6 +262,7 @@ def best_case_value(spec: GameSpec) -> Fraction:
     Each type gets its own optimal route with no overrides; this is the
     benchmark floor every interactive policy is measured against.
     """
+    require_valid(spec)
     total = Fraction(0)
     for i, w in spec.exact_prior().items():
         total += w * risk_adjusted_shortest_path(spec, spec.exact_types[i]).per_type_criterion[i]
@@ -294,6 +297,10 @@ def neutral_override_plan(spec: GameSpec, type_index: int) -> RealizedPlan:
 
 def neutral_override_plans(spec: GameSpec, types: Iterable[int]) -> dict[int, RealizedPlan]:
     """:func:`neutral_override_plan` for each of ``types``, the machine's table built once."""
+    require_valid(spec)
+    types = list(types)
+    if bad := [i for i in types if not 0 <= i < len(spec.types)]:
+        raise ValueError(f"type index {bad[0]} out of range")
     machine = _induct(spec, Fraction(0))
     return {i: _route(spec, machine, _induct(spec, spec.exact_types[i], machine)) for i in types}
 
@@ -303,13 +310,11 @@ def _route(spec: GameSpec, machine: list[dict], rider: list[dict] | None = None)
 
     Each period the machine plays its table's move and the rider sends its
     table's signal, or SILENT without a rider table; a table ``action`` is
-    read with r periods left at ``action[min(r, len(action) - 1)]``.
+    read with r periods left at ``action[min(r, len(action) - 1)]``. Its
+    callers check the spec first (:func:`require_valid`), so every read finds
+    its node: the start node reaches a terminal within T - 1 moves.
     """
     node, r = spec.start_node, spec.horizon_T
-    if node not in (machine if rider is None else rider)[-1]:  # the r = T layer, empty when T < 1
-        raise UnreachableTerminalError(
-            f"no terminal reachable from {spec.start_node!r} within {spec.horizon_T - 1} moves"
-        )
     edges: list[Edge] = []
     signals: list[str] = []
     machine_moves: list[str] = []

@@ -65,7 +65,6 @@ from .game_model import (
     Edge,
     GameSpec,
     as_float,
-    validate_spec,
 )
 
 CSV_HEADER = "sweep_value,regret_hm,regret_ma,regret_mn,bcp"
@@ -229,7 +228,7 @@ def scenario_from_dict(data: dict) -> ScenarioFile:
         transmission_cost=number(data["q_h"], "q_h"),
         machine_aggregator=_parse_aggregator(data["aggregator"], problems),
     )
-    problems.extend(validate_spec(spec))
+    problems.extend(spec.violations)
     if isinstance(sweep, dict) and isinstance(axis, int) and not 1 <= axis <= len(spec.types):
         problems.append(f"sweep.axis {axis} out of range for {len(spec.types)} types")
     if problems:
@@ -468,9 +467,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         sc = load_scenario(args.scenario)
         if args.aggregator is not None:
             sc.spec = replace(sc.spec, machine_aggregator=_parse_aggregator_flag(args.aggregator))
-            problems = validate_spec(sc.spec)
-            if problems:
-                raise ScenarioError(problems)
+            if sc.spec.violations:
+                raise ScenarioError(sc.spec.violations)
         status = _COMMANDS[args.command](sc, args)
         sys.stdout.flush()  # a reader that left early shows here, not at interpreter exit
     except RiskGamesError as exc:

@@ -773,6 +773,8 @@ def playout(spec: GameSpec, policy, type_index: int) -> TypeTrajectory:
     mean once per override. Every evaluation in the package walks a route
     here and nowhere else.
     """
+    if not 0 <= type_index < len(spec.types):
+        raise ValueError(f"type index {type_index} out of range")
     moves = _moves(policy, type_index)
     node, period = spec.start_node, 1
     nodes, machine_actions, signals, effective_moves = [node], [], [], []
@@ -905,6 +907,7 @@ def evaluate_policy_tree(spec: GameSpec, tree: PolicyTree) -> tuple[Fraction, di
     :func:`playout`, whole-route moments rather than the oracle's
     per-subtree cost vectors, so the two price a tree independently.
     """
+    require_valid(spec)
     per_type = {i: playout(spec, tree, i).criterion for i in spec.positive_support()}
     return aggregate(spec.machine_aggregator, spec.exact_prior(), per_type), per_type
 
@@ -1129,6 +1132,7 @@ def verify_equilibrium(
     The deviation search is budgeted by explored (state, action) pairs and
     raises DeviationBudgetError beyond ``deviation_budget``.
     """
+    require_valid(spec)
     engine = _Engine(spec)
     budget = _Budget(deviation_budget)
     root_value = policy.value.get(policy.root)

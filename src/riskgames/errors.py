@@ -24,10 +24,6 @@ class ZeroProbabilityObservation(RiskGamesError, ValueError):
     """A Bayes update conditioned on an observation no supported type emits."""
 
 
-class UnreachableTerminalError(RiskGamesError, ValueError):
-    """No terminal can be reached and stopped at within the horizon."""
-
-
 class UnsupportedAggregatorError(RiskGamesError, ValueError):
     """The requested machine aggregator is outside what the exact solver supports."""
 

@@ -69,6 +69,7 @@ def evaluate_policy_exact(spec: GameSpec, policy, type_index: int) -> TypeTrajec
 
 def evaluate_policy(spec: GameSpec, policy) -> PolicyEvaluation:
     """Evaluate a policy for every positive-prior type and aggregate by the machine's aggregator."""
+    require_valid(spec)
     per_type = {i: evaluate_policy_exact(spec, policy, i) for i in spec.positive_support()}
     criteria = {i: route.criterion for i, route in per_type.items()}
     return PolicyEvaluation(per_type, aggregate(spec.machine_aggregator, spec.exact_prior(), criteria))

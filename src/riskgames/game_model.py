@@ -134,10 +134,10 @@ class GameSpec:
     """The full game tuple instantiated on a directed graph.
 
     Frozen: a changed spec is a new one (``dataclasses.replace``), which
-    must be validated again and shares no table with its source. The
-    engine tables are computed on first read and kept in the instance
-    dict; a :func:`with_prior` copy shares those in
-    :data:`PRIOR_FREE_TABLES` and parses its own prior. All reader methods
+    shares no table with its source. The engine tables and the verdict
+    ``violations`` are computed on first read and kept in the instance
+    dict; a :func:`with_prior` copy shares those in :data:`PRIOR_FREE_TABLES`
+    and parses its own prior and verdict. All reader methods
     are pure, so a spec may be shared freely across threads.
     """
 
@@ -215,6 +215,11 @@ class GameSpec:
                     dist[u] = dist[v] + 1
                     queue.append(u)
         return dist
+
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """Every problem :func:`validate_spec` finds, checked once per spec object."""
+        return tuple(validate_spec(self))
 
     @cached_property
     def layer_memo(self) -> dict:
@@ -335,6 +340,14 @@ def path_criterion(spec: GameSpec, path: Sequence[Edge], overrides: int, theta) 
     return mean + t * var
 
 
+def _finite(x) -> bool:
+    """``math.isfinite(x)``, or False where x is no number or lies beyond the float range."""
+    try:
+        return math.isfinite(x)
+    except (TypeError, OverflowError):
+        return False
+
+
 def validate_spec(spec: GameSpec) -> list[str]:
     """Check every GameSpec invariant; returns all violations, never raises."""
     problems: list[str] = []
@@ -368,14 +381,18 @@ def validate_spec(spec: GameSpec) -> list[str]:
     if not spec.types:
         problems.append("type list is empty")
     for th in spec.types:
-        if not math.isfinite(th) or th < 0:
+        if not _finite(th) or th < 0:
             problems.append(f"risk parameter {th!r} must be finite and non-negative")
-    if any(b <= a for a, b in zip(spec.types, spec.types[1:])):
+    try:
+        unordered = any(b <= a for a, b in zip(spec.types, spec.types[1:]))
+    except TypeError:  # types that do not compare, each listed above
+        unordered = False
+    if unordered:
         problems.append("types must be strictly increasing and distinct")
 
     if len(spec.prior) != len(spec.types):
         problems.append(f"prior has {len(spec.prior)} weights for {len(spec.types)} types")
-    if any(w < 0 or not math.isfinite(w) for w in spec.prior):
+    if any(not _finite(w) or w < 0 for w in spec.prior):
         problems.append("prior weights must be finite and non-negative")
     elif spec.prior:
         total = math.fsum(spec.prior)
@@ -384,13 +401,13 @@ def validate_spec(spec: GameSpec) -> list[str]:
         if not any(w > 0 for w in spec.prior):
             problems.append("prior has no positive weight")
 
-    if not math.isfinite(spec.transmission_cost) or spec.transmission_cost < 0:
+    if not _finite(spec.transmission_cost) or spec.transmission_cost < 0:
         problems.append(f"transmission cost must be non-negative, got {spec.transmission_cost!r}")
 
     agg = spec.machine_aggregator
     if agg.kind not in ("expectation", "cvar"):
         problems.append(f"unknown machine aggregator {agg.kind!r}")
-    elif agg.kind == "cvar" and not (agg.alpha is not None and 0 <= agg.alpha < 1):
+    elif agg.kind == "cvar" and not (_finite(agg.alpha) and 0 <= agg.alpha < 1):
         problems.append(f"cvar aggregator needs alpha in [0, 1), got {agg.alpha!r}")
 
     if spec.start_node in known and spec.terminals and not problems:
@@ -404,10 +421,9 @@ def validate_spec(spec: GameSpec) -> list[str]:
 
 
 def require_valid(spec: GameSpec) -> None:
-    """Raise :class:`SpecValidationError` with every problem :func:`validate_spec` finds."""
-    problems = validate_spec(spec)
-    if problems:
-        raise SpecValidationError(problems)
+    """Raise :class:`SpecValidationError` with every problem in ``spec.violations``."""
+    if spec.violations:
+        raise SpecValidationError(spec.violations)
 
 
 def with_prior(spec: GameSpec, prior: Sequence[float]) -> GameSpec:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from riskgames.baseline_planners import PlannerResult, RealizedPlan
-from riskgames.errors import UnreachableTerminalError
 from riskgames.game_model import (
     _DIR_RANK,
     SILENT,
@@ -55,9 +54,7 @@ def risk_adjusted_shortest_path(spec: GameSpec, theta) -> PlannerResult:
                     nxt[edge.dst] = cand
         layer = nxt
     if best is None:
-        raise UnreachableTerminalError(
-            f"no terminal reachable from {spec.start_node!r} within {max_moves} moves"
-        )
+        raise ValueError(f"no terminal reachable from {spec.start_node!r} within {max_moves} moves")
     path = best[2]
     per_type = {i: path_criterion(spec, path, 0, th) for i, th in enumerate(spec.types)}
     return PlannerResult(path=path, per_type_criterion=per_type, planner_theta=t)
@@ -136,9 +133,7 @@ def neutral_override_plan(spec: GameSpec, type_index: int) -> RealizedPlan:
         return best
 
     if respond(spec.start_node, spec.horizon_T) is None:
-        raise UnreachableTerminalError(
-            f"no terminal reachable from {spec.start_node!r} within the horizon"
-        )
+        raise ValueError(f"no terminal reachable from {spec.start_node!r} within the horizon")
     node, r = spec.start_node, spec.horizon_T
     edges: list[Edge] = []
     signals: list[str] = []

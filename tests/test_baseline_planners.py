@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import reference_baselines as reference
 from instance_gen import random_game, seeded_lattice, skip_chain
-from riskgames import CostDistribution, Edge, GameSpec
+from riskgames import CostDistribution, Edge, GameSpec, baseline_planners
 from riskgames.baseline_planners import (
     PATH_ENUMERATION_NODE_LIMIT,
     PATH_ENUMERATION_STEP_LIMIT,
@@ -21,9 +21,10 @@ from riskgames.baseline_planners import (
     risk_adjusted_shortest_path,
     risk_adjusted_shortest_paths,
 )
-from riskgames.coordinator_solver import solve_dp
-from riskgames.errors import EnumerationGuardError, SpecValidationError, UnreachableTerminalError
-from riskgames.game_model import as_fraction, path_criterion
+from riskgames.coordinator_solver import playout, solve_dp
+from riskgames.errors import EnumerationGuardError, SpecValidationError
+from riskgames.evaluation import monte_carlo_evaluate
+from riskgames.game_model import as_fraction, path_criterion, with_prior
 
 THETA_GRID = (0, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1)
 
@@ -170,8 +171,26 @@ def test_planner_unreachable_terminal():
         types=(0.1,),
         prior=(1.0,),
     )
-    with pytest.raises(UnreachableTerminalError):
+    with pytest.raises(SpecValidationError) as err:
         risk_adjusted_shortest_path(spec, 0.1)
+    assert err.value.violations == [
+        "no terminal reachable from 'a' within horizon 3 (needs inf moves plus a STOP period)"]
+
+
+@pytest.mark.parametrize("index", [-1, 2, 5, 7])
+def test_a_type_index_out_of_range_is_named_before_any_walk(graph_a, index, monkeypatch):
+    plan, policy = baseline_policy(graph_a, "neutral"), solve_dp(graph_a)
+    calls = [lambda: playout(graph_a, plan, index), lambda: playout(graph_a, policy, index),
+             lambda: monte_carlo_evaluate(graph_a, plan, index, 10, 0),
+             lambda: neutral_override_plan(graph_a, index), lambda: neutral_override_plans(graph_a, [0, index])]
+    monkeypatch.setattr(baseline_planners, "_induct", None)  # no plan is made
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^type index {index} out of range$"):
+            call()
+    # an in-range type with no prior weight keeps its own message
+    point = with_prior(graph_a, (1.0, 0.0))
+    with pytest.raises(ValueError, match="^type 1 has no prior weight in this game$"):
+        playout(point, solve_dp(point), 1)
 
 
 def test_best_case_point_mass_is_single_optimum(graph_a):

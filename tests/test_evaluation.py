@@ -313,7 +313,7 @@ def test_shared_tables_change_no_sweep_row_or_solver_table(monkeypatch):
 
 @pytest.mark.parametrize("change", [{"start_node": "zz"}, {"horizon_T": 0}], ids=["unknown-start", "zero-horizon"])
 def test_prior_sweep_rejects_an_invalid_spec(graph_a, change):
-    # the spec's problems listed up front, not the planner's unreachable-terminal error
+    # the spec's problems listed up front, before any grid value is read
     with pytest.raises(SpecValidationError):
         prior_sweep(replace(graph_a, **change), 0, (0.0, 0.5))
 

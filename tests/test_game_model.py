@@ -7,7 +7,7 @@ import pytest
 from conftest import make_diamond
 from riskgames import CostDistribution, Edge, GameSpec
 from riskgames.coordinator_solver import solve_dp
-from riskgames.errors import EnumerationGuardError, IllegalMoveError, PathError
+from riskgames.errors import EnumerationGuardError, IllegalMoveError, PathError, SpecValidationError
 from riskgames.game_model import (
     EXPECTATION,
     PRIOR_FREE_TABLES,
@@ -17,6 +17,7 @@ from riskgames.game_model import (
     as_fraction,
     effective_action,
     path_criterion,
+    require_valid,
     step,
     validate_spec,
     with_prior,
@@ -211,6 +212,25 @@ def test_validate_spec_never_raises_on_junk():
     assert len(problems) >= 5
 
 
+@pytest.mark.parametrize("change,problems", [
+    ({"types": ("a", "b")}, ["risk parameter 'a' must be finite and non-negative",
+                             "risk parameter 'b' must be finite and non-negative"]),
+    ({"prior": ("x", 0.5)}, ["prior weights must be finite and non-negative"]),
+    ({"transmission_cost": None}, ["transmission cost must be non-negative, got None"]),
+    ({"machine_aggregator": Aggregator("cvar", "0.5")}, ["cvar aggregator needs alpha in [0, 1), got '0.5'"]),
+    ({"types": (10**400, 10**401)}, [f"risk parameter {10**400!r} must be finite and non-negative",
+                                     f"risk parameter {10**401!r} must be finite and non-negative"]),
+    ({"transmission_cost": 10**400}, [f"transmission cost must be non-negative, got {10**400!r}"]),
+    ({"prior": (10**400, 0)}, ["prior weights must be finite and non-negative"]),
+], ids=["str types", "str prior", "None fee", "str alpha", "huge types", "huge fee", "huge prior"])
+def test_validate_spec_lists_a_value_of_the_wrong_kind_or_size(graph_a, change, problems):
+    spec = replace(graph_a, **change)
+    assert validate_spec(spec) == problems
+    with pytest.raises(SpecValidationError) as err:
+        require_valid(spec)
+    assert err.value.violations == problems
+
+
 def test_validated_spec_is_frozen():
     spec = make_diamond()
     assert validate_spec(spec) == []
@@ -253,12 +273,12 @@ def test_with_prior_shares_the_prior_free_tables():
     spec = make_diamond(q=0.3, types=(0.05, 0.375))
     solve_dp(spec)  # computes every cached table, the layers of the full support included
     cached = {name for name, attr in vars(GameSpec).items() if isinstance(attr, cached_property)}
-    assert cached == {*PRIOR_FREE_TABLES, "_exact_prior"}
+    assert cached == {*PRIOR_FREE_TABLES, "_exact_prior", "violations"}
     assert cached <= set(vars(spec))
     swapped = with_prior(spec, (0.25, 0.75))
     for name in PRIOR_FREE_TABLES:
         assert vars(swapped)[name] is vars(spec)[name], name
-    assert "_exact_prior" not in vars(swapped)
+    assert "_exact_prior" not in vars(swapped) and "violations" not in vars(swapped)
     assert swapped.exact_prior() == {0: Fraction(1, 4), 1: Fraction(3, 4)}
     layers = spec.layer_memo[(0, 1)]
 
